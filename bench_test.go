@@ -226,6 +226,8 @@ func BenchmarkSimulatorThroughputRefresh(b *testing.B) {
 // and the number isolates how cheaply the per-cycle machinery runs under
 // sustained load — in particular whether the NoC routers stay dormant
 // between grants instead of re-scanning ready heads every executed cycle.
+// Its channels metric makes it the 1x point of the per-channel flatness
+// curve BenchmarkLoadedPhaseThroughputScaled continues.
 func BenchmarkLoadedPhaseThroughput(b *testing.B) {
 	sys := sara.Build(sara.Saturated())
 	sys.RunFrames(1) // reach the saturated steady state
@@ -235,6 +237,7 @@ func BenchmarkLoadedPhaseThroughput(b *testing.B) {
 	}
 	b.ReportMetric(1000, "cycles/op")
 	b.ReportMetric(100*float64(sys.Kernel().SkippedCycles())/float64(sys.Now()), "%skipped")
+	b.ReportMetric(float64(sys.Config().DRAM.Geometry.Channels), "channels")
 }
 
 // BenchmarkLoadedPhaseThroughputScaled measures the saturated phase on
@@ -255,35 +258,6 @@ func BenchmarkLoadedPhaseThroughputScaled(b *testing.B) {
 			}
 			b.ReportMetric(1000, "cycles/op")
 			b.ReportMetric(float64(sys.Config().DRAM.Geometry.Channels), "channels")
-		})
-	}
-}
-
-// BenchmarkLoadedPhaseThroughputParallel measures the saturated phase on
-// the 4x SoC under the domain-parallel kernel at 1, 2 and 4 workers.
-// Compare ns/cycle against BenchmarkLoadedPhaseThroughputScaled/4x: the
-// w1 leg prices the partitioned topology plus the epoch machinery on one
-// goroutine, and the multi-worker legs price the barrier against the
-// sharded work — they win only when the per-epoch work per domain
-// exceeds the synchronization cost, which needs real hardware
-// parallelism (on a single-core host every leg is serial plus barrier
-// overhead). Allocs/op must stay at 0 at every worker count.
-func BenchmarkLoadedPhaseThroughputParallel(b *testing.B) {
-	for _, workers := range []int{1, 2, 4} {
-		workers := workers
-		b.Run(fmt.Sprintf("w%d", workers), func(b *testing.B) {
-			sys := sara.BuildParallel(sara.ScaledSaturated(4), workers)
-			if sys.Domains() == 0 {
-				b.Fatal("4x saturated config should partition")
-			}
-			sys.RunFrames(1)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sys.Run(1000)
-			}
-			b.ReportMetric(1000, "cycles/op")
-			b.ReportMetric(float64(sys.Config().DRAM.Geometry.Channels), "channels")
-			b.ReportMetric(float64(sys.DomainWorkers()), "workers")
 		})
 	}
 }

@@ -6,9 +6,12 @@
 //	go test -run=NONE -bench=... -benchmem . | benchjson -o BENCH_loaded.json
 //	benchjson -o BENCH_loaded.json bench.out
 //
-// With -baseline it additionally compares the fresh ns/cycle numbers
-// against a previously-emitted report and exits 3 when any shared
-// benchmark regressed by more than -tolerance (fraction, default 0.25):
+// With -baseline it additionally gates on cost ratios measured within
+// one run (see gatedRatios) and exits 3 when any ratio grew by more than
+// -tolerance (fraction, default 0.25) over the same ratio computed from
+// a previously-emitted report. Absolute ns are recorded, never compared:
+// they move with the host, while a ratio of two benchmarks from the same
+// run does not.
 //
 //	benchjson -baseline bench_baseline.json bench.out >/dev/null
 package main
@@ -22,6 +25,54 @@ import (
 	"os"
 	"strings"
 )
+
+// ratio is one gated cost ratio: the numerator benchmark's cost over the
+// denominator's, both taken from the same report. perChannel selects
+// ns/cycle/channel instead of ns/cycle for both terms.
+type ratio struct {
+	label      string
+	num, den   string
+	perChannel bool
+}
+
+// gatedRatios is the regression gate. Each ratio isolates one property
+// of the kernel that a hot-path slip would move while a uniformly
+// faster or slower host would not.
+var gatedRatios = []ratio{
+	{"case-A skipping vs stepped", "BenchmarkSimulatorThroughput", "BenchmarkSimulatorThroughputReference", false},
+	{"loaded skipping vs stepped", "BenchmarkLoadedPhaseThroughput", "BenchmarkLoadedPhaseThroughputReference", false},
+	{"4x vs 1x per channel", "BenchmarkLoadedPhaseThroughputScaled/4x", "BenchmarkLoadedPhaseThroughput", true},
+	{"refresh vs no refresh", "BenchmarkSimulatorThroughputRefresh", "BenchmarkSimulatorThroughput", false},
+}
+
+// value computes r over rep, or ok=false when either term is missing.
+func (r ratio) value(rep Report) (float64, bool) {
+	cost := func(name string) (float64, bool) {
+		for _, b := range rep.Benchmarks {
+			if b.Name != name {
+				continue
+			}
+			v := b.NsPerCycle
+			if r.perChannel {
+				v = b.NsPerCyclePerChannel
+			}
+			if v == nil || *v <= 0 {
+				return 0, false
+			}
+			return *v, true
+		}
+		return 0, false
+	}
+	n, ok := cost(r.num)
+	if !ok {
+		return 0, false
+	}
+	d, ok := cost(r.den)
+	if !ok {
+		return 0, false
+	}
+	return n / d, true
+}
 
 // Bench is one parsed benchmark result line.
 type Bench struct {
@@ -75,7 +126,7 @@ func parseBenchLine(line string) (Bench, bool) {
 	if len(fields) < 4 || len(fields[0]) < len("Benchmark") || fields[0][:len("Benchmark")] != "Benchmark" {
 		return Bench{}, false
 	}
-	b := Bench{Name: fields[0], Metrics: map[string]float64{}}
+	b := Bench{Name: stripProcs(fields[0]), Metrics: map[string]float64{}}
 	if _, err := fmt.Sscan(fields[1], &b.Iterations); err != nil {
 		return Bench{}, false
 	}
@@ -111,19 +162,35 @@ func parseBenchLine(line string) (Bench, bool) {
 	return b, true
 }
 
+// stripProcs drops the "-N" GOMAXPROCS suffix go test appends to
+// benchmark names on multi-core hosts, so reports from hosts with
+// different core counts share names.
+func stripProcs(name string) string {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 || i == len(name)-1 {
+		return name
+	}
+	for _, c := range name[i+1:] {
+		if c < '0' || c > '9' {
+			return name
+		}
+	}
+	return name[:i]
+}
+
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
 }
 
 // run is main without the process plumbing, so tests can drive the CLI
 // and assert output and exit codes. 0 = success, 1 = bad input or write
-// failure, 2 = usage error, 3 = ns/cycle regression beyond tolerance.
+// failure, 2 = usage error, 3 = ratio regression beyond tolerance.
 func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("benchjson", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	out := fs.String("o", "", "output file (default stdout)")
-	baseline := fs.String("baseline", "", "baseline report JSON to compare ns/cycle against")
-	tolerance := fs.Float64("tolerance", 0.25, "allowed fractional ns/cycle regression vs the baseline")
+	baseline := fs.String("baseline", "", "baseline report JSON to compare the gated ns/cycle ratios against")
+	tolerance := fs.Float64("tolerance", 0.25, "allowed fractional growth of a gated ratio vs the baseline")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -165,10 +232,11 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// compareBaseline checks every ns/cycle the fresh report shares with the
-// baseline report and reports regressions beyond tolerance. An empty
-// intersection fails too: a renamed benchmark must not silently turn the
-// regression gate into a no-op.
+// compareBaseline computes every gated ratio on the fresh report and on
+// the baseline report and reports ratios that grew beyond tolerance. A
+// ratio missing on either side is skipped with a note; if none can be
+// compared the gate fails, so a renamed benchmark cannot silently turn
+// it into a no-op.
 func compareBaseline(rep Report, path string, tolerance float64, stderr io.Writer) int {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -180,32 +248,28 @@ func compareBaseline(rep Report, path string, tolerance float64, stderr io.Write
 		fmt.Fprintf(stderr, "benchjson: baseline %s: %v\n", path, err)
 		return 1
 	}
-	fresh := map[string]*float64{}
-	for _, b := range rep.Benchmarks {
-		fresh[b.Name] = b.NsPerCycle
-	}
 	compared, regressed := 0, 0
-	for _, b := range base.Benchmarks {
-		if b.NsPerCycle == nil {
-			continue
-		}
-		cur, ok := fresh[b.Name]
-		if !ok || cur == nil {
+	for _, r := range gatedRatios {
+		was, okBase := r.value(base)
+		cur, okCur := r.value(rep)
+		if !okBase || !okCur {
+			fmt.Fprintf(stderr, "benchjson: skip %s (%s / %s): missing from the input or the baseline\n",
+				r.label, r.num, r.den)
 			continue
 		}
 		compared++
-		ratio := *cur / *b.NsPerCycle
-		if ratio > 1+tolerance {
+		growth := cur / was
+		if growth > 1+tolerance {
 			regressed++
-			fmt.Fprintf(stderr, "benchjson: REGRESSION %s: %.1f ns/cycle vs baseline %.1f (%.0f%% > %.0f%% tolerance)\n",
-				b.Name, *cur, *b.NsPerCycle, (ratio-1)*100, tolerance*100)
+			fmt.Fprintf(stderr, "benchjson: REGRESSION %s (%s / %s): %.3f vs baseline %.3f (%+.0f%% > %.0f%% tolerance)\n",
+				r.label, r.num, r.den, cur, was, (growth-1)*100, tolerance*100)
 			continue
 		}
-		fmt.Fprintf(stderr, "benchjson: ok %s: %.1f ns/cycle vs baseline %.1f (%+.0f%%)\n",
-			b.Name, *cur, *b.NsPerCycle, (ratio-1)*100)
+		fmt.Fprintf(stderr, "benchjson: ok %s (%s / %s): %.3f vs baseline %.3f (%+.0f%%)\n",
+			r.label, r.num, r.den, cur, was, (growth-1)*100)
 	}
 	if compared == 0 {
-		fmt.Fprintf(stderr, "benchjson: baseline %s shares no ns/cycle benchmarks with the input\n", path)
+		fmt.Fprintf(stderr, "benchjson: baseline %s shares no ns/cycle benchmarks with the input for any gated ratio\n", path)
 		return 1
 	}
 	if regressed > 0 {

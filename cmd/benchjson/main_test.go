@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -110,17 +111,49 @@ func TestRunRejectsUnknownFlag(t *testing.T) {
 	}
 }
 
-// writeBaseline emits a baseline report whose two sample benchmarks run
-// at the given ns/cycle values and returns its path.
-func writeBaseline(t *testing.T, nsPerCycle1, nsPerCycle2 float64) string {
-	t.Helper()
-	mk := func(name string, nsc float64) Bench {
-		return Bench{Name: name, NsPerCycle: &nsc}
+// baseNs is a baseline host's ns/op for every benchmark the ratio gate
+// reads (1000 cycles/op each); channels are the configs' channel counts.
+var (
+	baseNs = map[string]float64{
+		"BenchmarkSimulatorThroughput":            204028,
+		"BenchmarkSimulatorThroughputReference":   273479,
+		"BenchmarkSimulatorThroughputRefresh":     233643,
+		"BenchmarkLoadedPhaseThroughput":          409757,
+		"BenchmarkLoadedPhaseThroughputReference": 451245,
+		"BenchmarkLoadedPhaseThroughputScaled/4x": 1735793,
 	}
-	rep := Report{Benchmarks: []Bench{
-		mk("BenchmarkSimulatorThroughput", nsPerCycle1),
-		mk("BenchmarkLoadedPhaseThroughputScaled/4x", nsPerCycle2),
-	}}
+	channels = map[string]int{
+		"BenchmarkLoadedPhaseThroughput":          2,
+		"BenchmarkLoadedPhaseThroughputScaled/4x": 8,
+	}
+)
+
+// benchOutput renders go test -bench lines for baseNs, each ns/op
+// multiplied by scale (default 1) and each name followed by suffix.
+func benchOutput(scale map[string]float64, suffix string) string {
+	var sb strings.Builder
+	sb.WriteString("goos: linux\npkg: sara\n")
+	for name, ns := range baseNs {
+		if f, ok := scale[name]; ok {
+			ns *= f
+		}
+		fmt.Fprintf(&sb, "%s%s\t2000\t%.0f ns/op", name, suffix, ns)
+		if ch, ok := channels[name]; ok {
+			fmt.Fprintf(&sb, "\t%d channels", ch)
+		}
+		sb.WriteString("\t1000 cycles/op\t0 B/op\t0 allocs/op\n")
+	}
+	return sb.String()
+}
+
+// writeBaseline records benchOutput(scale, "") as a baseline report and
+// returns its path.
+func writeBaseline(t *testing.T, scale map[string]float64) string {
+	t.Helper()
+	rep, err := parse(strings.NewReader(benchOutput(scale, "")))
+	if err != nil {
+		t.Fatal(err)
+	}
 	enc, err := json.Marshal(rep)
 	if err != nil {
 		t.Fatal(err)
@@ -132,43 +165,92 @@ func writeBaseline(t *testing.T, nsPerCycle1, nsPerCycle2 float64) string {
 	return path
 }
 
-func TestBaselineWithinTolerancePasses(t *testing.T) {
-	// The sample runs at 258.009 and 2201.684/8 ns/cycle; a baseline 10%
-	// below both is inside the default 25% tolerance.
-	path := writeBaseline(t, 258.009/1.1, 2201.684/1.1)
+// gate runs benchjson -baseline over input and returns the exit code
+// and stderr.
+func gate(t *testing.T, input, baseline string, extra ...string) (int, string) {
+	t.Helper()
 	var out, errb strings.Builder
-	if code := run([]string{"-baseline", path}, strings.NewReader(sample), &out, &errb); code != 0 {
-		t.Fatalf("exit code %d, want 0; stderr:\n%s", code, errb.String())
+	code := run(append([]string{"-baseline", baseline}, extra...), strings.NewReader(input), &out, &errb)
+	return code, errb.String()
+}
+
+func TestBaselineWithinTolerancePasses(t *testing.T) {
+	// A 10% slower skipping run raises the case-A ratio by 10%, inside
+	// the default 25% tolerance.
+	path := writeBaseline(t, nil)
+	in := benchOutput(map[string]float64{"BenchmarkSimulatorThroughput": 1.1}, "")
+	code, stderr := gate(t, in, path)
+	if code != 0 {
+		t.Fatalf("exit code %d, want 0; stderr:\n%s", code, stderr)
 	}
-	if !strings.Contains(errb.String(), "ok BenchmarkSimulatorThroughput") {
-		t.Errorf("stderr lacks the per-benchmark comparison:\n%s", errb.String())
+	if !strings.Contains(stderr, "ok case-A skipping vs stepped") {
+		t.Errorf("stderr lacks the per-ratio comparison:\n%s", stderr)
 	}
 }
 
 func TestBaselineRegressionFails(t *testing.T) {
-	// A baseline 40% below the sample's first benchmark trips the gate.
-	path := writeBaseline(t, 258.009/1.4, 2201.684)
-	var out, errb strings.Builder
-	if code := run([]string{"-baseline", path}, strings.NewReader(sample), &out, &errb); code != 3 {
-		t.Fatalf("exit code %d, want 3; stderr:\n%s", code, errb.String())
+	// A 40% slower skipping run on case A trips the case-A ratio.
+	path := writeBaseline(t, nil)
+	in := benchOutput(map[string]float64{"BenchmarkSimulatorThroughput": 1.4}, "")
+	code, stderr := gate(t, in, path)
+	if code != 3 {
+		t.Fatalf("exit code %d, want 3; stderr:\n%s", code, stderr)
 	}
-	if !strings.Contains(errb.String(), "REGRESSION BenchmarkSimulatorThroughput") {
-		t.Errorf("stderr does not name the regressed benchmark:\n%s", errb.String())
+	if strings.Count(stderr, "REGRESSION") != 1 || !strings.Contains(stderr, "REGRESSION case-A skipping vs stepped") {
+		t.Errorf("want exactly the case-A ratio flagged; stderr:\n%s", stderr)
 	}
 }
 
 func TestBaselineToleranceFlag(t *testing.T) {
 	// The same 40% regression passes once the tolerance is raised to 50%.
-	path := writeBaseline(t, 258.009/1.4, 2201.684)
-	var out, errb strings.Builder
-	if code := run([]string{"-baseline", path, "-tolerance", "0.5"},
-		strings.NewReader(sample), &out, &errb); code != 0 {
-		t.Fatalf("exit code %d, want 0; stderr:\n%s", code, errb.String())
+	path := writeBaseline(t, nil)
+	in := benchOutput(map[string]float64{"BenchmarkSimulatorThroughput": 1.4}, "")
+	if code, stderr := gate(t, in, path, "-tolerance", "0.5"); code != 0 {
+		t.Fatalf("exit code %d, want 0; stderr:\n%s", code, stderr)
+	}
+}
+
+func TestBaselineSuffixedNamesMatch(t *testing.T) {
+	// go test appends -GOMAXPROCS on multi-core hosts; the names must
+	// still meet the unsuffixed baseline's.
+	path := writeBaseline(t, nil)
+	code, stderr := gate(t, benchOutput(nil, "-2"), path)
+	if code != 0 {
+		t.Fatalf("exit code %d, want 0; stderr:\n%s", code, stderr)
+	}
+	if n := strings.Count(stderr, "benchjson: ok "); n != len(gatedRatios) {
+		t.Fatalf("%d ratios compared, want %d; stderr:\n%s", n, len(gatedRatios), stderr)
+	}
+	rep, err := parse(strings.NewReader(benchOutput(nil, "-16")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range rep.Benchmarks {
+		if _, ok := baseNs[b.Name]; !ok {
+			t.Errorf("parsed name %q keeps its GOMAXPROCS suffix", b.Name)
+		}
+	}
+}
+
+func TestBaselineUniformSlowdownPasses(t *testing.T) {
+	// A host twice as slow on every benchmark moves no ratio: absolute
+	// ns from another host must not read as a regression.
+	path := writeBaseline(t, nil)
+	slow := map[string]float64{}
+	for name := range baseNs {
+		slow[name] = 2
+	}
+	code, stderr := gate(t, benchOutput(slow, "-2"), path)
+	if code != 0 {
+		t.Fatalf("exit code %d, want 0; stderr:\n%s", code, stderr)
+	}
+	if strings.Contains(stderr, "REGRESSION") {
+		t.Fatalf("uniform slowdown flagged:\n%s", stderr)
 	}
 }
 
 func TestBaselineDisjointNamesFail(t *testing.T) {
-	// A baseline sharing no benchmark names must fail loudly, not pass
+	// A baseline sharing no gated benchmark must fail loudly, not pass
 	// vacuously.
 	mk := Bench{Name: "BenchmarkRenamedAway", NsPerCycle: new(float64)}
 	*mk.NsPerCycle = 100
@@ -180,12 +262,12 @@ func TestBaselineDisjointNamesFail(t *testing.T) {
 	if err := os.WriteFile(path, enc, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var out, errb strings.Builder
-	if code := run([]string{"-baseline", path}, strings.NewReader(sample), &out, &errb); code != 1 {
-		t.Fatalf("exit code %d, want 1; stderr:\n%s", code, errb.String())
+	code, stderr := gate(t, benchOutput(nil, ""), path)
+	if code != 1 {
+		t.Fatalf("exit code %d, want 1; stderr:\n%s", code, stderr)
 	}
-	if !strings.Contains(errb.String(), "shares no ns/cycle benchmarks") {
-		t.Errorf("stderr lacks the disjoint-names diagnosis:\n%s", errb.String())
+	if !strings.Contains(stderr, "shares no ns/cycle benchmarks") {
+		t.Errorf("stderr lacks the disjoint-names diagnosis:\n%s", stderr)
 	}
 }
 

@@ -51,7 +51,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	analysisWindow := fs.Uint64("analysis-window", 0, "analyzer aggregation window in cycles (0 = 4 NPI sampling periods)")
 	analysisOut := fs.String("analysis-out", "", "with -analyze: write the windowed reports of figures 5/6/9 here (.csv = CSV sections, else JSON)")
 	monitorAddr := fs.String("monitor", "", "serve the live HTTP run monitor on this address (e.g. :8080)")
-	domainWorkers := fs.Int("domain-workers", 0, "build each system on the domain-parallel kernel with this many goroutines (>= 2; 0/1 = serial kernel)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -76,7 +75,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Resume:         *resume,
 		Analyze:        *analyze,
 		AnalysisWindow: *analysisWindow,
-		DomainWorkers:  *domainWorkers,
 	}
 	if *monitorAddr != "" {
 		mon := sara.NewMonitor()

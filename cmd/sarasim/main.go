@@ -42,7 +42,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	analyze := fs.Bool("analyze", false, "attach the stall-attribution analyzers")
 	analysisWindow := fs.Uint64("analysis-window", 0, "analyzer aggregation window in cycles (0 = 4 NPI sampling periods)")
 	analysisOut := fs.String("analysis-out", "", "with -analyze: write the windowed report here (.csv = system series CSV, else JSON)")
-	domainWorkers := fs.Int("domain-workers", 0, "build the system on the domain-parallel kernel with this many goroutines (>= 2; 0/1 = serial kernel)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -73,7 +72,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Refresh:        *refresh,
 		Analyze:        *analyze,
 		AnalysisWindow: *analysisWindow,
-		DomainWorkers:  *domainWorkers,
 	})
 	fmt.Fprint(stdout, exp.FormatRun(res))
 	if res.Err != nil {

@@ -166,7 +166,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	saturated := fs.Bool("saturated", false, "cell sweep: bandwidth-bound saturated variant")
 	warmup := fs.Int("warmup", 0, "cell sweep: warmup frames before measurement")
 	measure := fs.Int("measure", 1, "cell sweep: measured frames")
-	domainWorkers := fs.Int("domain-workers", 0, "build each system on the domain-parallel kernel with this many goroutines (>= 2; 0/1 = serial kernel)")
 	analyze := fs.Bool("analyze", false, "attach the stall-attribution analyzers (serializes workers)")
 	analysisWindow := fs.Uint64("analysis-window", 0, "analyzer aggregation window in cycles (0 = 4 NPI sampling periods)")
 	analysisOut := fs.String("analysis-out", "", "with -analyze: write the windowed reports here (.csv = CSV sections, else JSON)")
@@ -215,7 +214,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Resume:         *resume,
 			Analyze:        *analyze,
 			AnalysisWindow: *analysisWindow,
-			DomainWorkers:  *domainWorkers,
 		},
 		cell: exp.Cell{
 			Case:         tc,
@@ -261,14 +259,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 // armed (a no-op watchdog-free build when neither is set) and, under
 // -analyze / -monitor, an analyzer attached.
 func (o cliOptions) build(cfg core.Config) *core.System {
-	var sys *core.System
-	if o.opt.DomainWorkers > 1 && !o.sink.active() {
-		// The analyzers hook the serial kernel, so -analyze / -monitor
-		// sweeps keep the serial build (matching exp.Options.apply).
-		sys = sara.BuildParallel(cfg, o.opt.DomainWorkers)
-	} else {
-		sys = sara.Build(cfg)
-	}
+	sys := sara.Build(cfg)
 	if wd := o.opt.Watchdog(); wd != nil {
 		sys.SetWatchdog(wd)
 	}

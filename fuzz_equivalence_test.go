@@ -156,16 +156,8 @@ func fuzzConfig(seed uint64) (sara.Config, string) {
 		}
 	}
 
-	// Domain-parallel kernel: a slice of the pool re-runs the partitioned
-	// topology at this worker count against its 1-worker reference (drawn
-	// last — appending keeps every historic failure seed meaningful). The
-	// three serial differential modes always run with the serial kernel;
-	// captureRun clears this field before building.
-	cfg.DomainWorkers = []int{1, 2, 4}[rng.Intn(3)]
-
-	desc := fmt.Sprintf("case%v/%v/refresh=%v/dmas=%d/depth=%d/hop=%d/scale=%dx/dorm=%s/dw=%d",
-		tc, policy, refresh, len(cfg.DMAs), cfg.NoC.PortDepth, cfg.NoC.HopLatency, factor, dormancy,
-		cfg.DomainWorkers)
+	desc := fmt.Sprintf("case%v/%v/refresh=%v/dmas=%d/depth=%d/hop=%d/scale=%dx/dorm=%s",
+		tc, policy, refresh, len(cfg.DMAs), cfg.NoC.PortDepth, cfg.NoC.HopLatency, factor, dormancy)
 	return cfg, desc
 }
 
@@ -189,9 +181,6 @@ type diffResult struct {
 // replaced by the sim.SetForcePoll linear sweep (skip and poll true).
 func captureRun(cfg sara.Config, skip, poll bool, horizon sara.Cycle) diffResult {
 	var res diffResult
-	// The three differential modes compare serial kernels; the parallel
-	// leg builds its own systems through captureParallel.
-	cfg.DomainWorkers = 0
 	noc.SetForceScan(!skip)
 	memctrl.SetForceScan(!skip)
 	dma.SetForceScan(!skip)
@@ -306,11 +295,7 @@ func TestRandomizedSkipVsStepDifferential(t *testing.T) {
 		configs = 10
 	}
 	configs *= fuzzScale()
-	// Deterministic parallel runs cost two extra builds per config, so the
-	// worker-count differential runs a shorter horizon than the serial
-	// three-mode legs — determinism violations show up within a few epochs.
-	const parHorizon = sara.Cycle(12000)
-	var totalGrants, totalSkipped, refreshRuns, scaledRuns, dormancyRuns, parallelRuns uint64
+	var totalGrants, totalSkipped, refreshRuns, scaledRuns, dormancyRuns uint64
 	for i := 0; i < configs; i++ {
 		seed := sim.NewRand(baseSeed).Fork(uint64(i)).Uint64()
 		cfg, desc := fuzzConfig(seed)
@@ -343,21 +328,6 @@ func TestRandomizedSkipVsStepDifferential(t *testing.T) {
 			if cfg.DRAM.Geometry.Channels > 2 {
 				scaledRuns++
 			}
-			// Worker-count differential: on partitionable configs that drew
-			// a parallel worker count, the partitioned topology at that
-			// count must be bit-identical to its own 1-worker reference.
-			if dw := cfg.DomainWorkers; dw > 1 {
-				if _, ok := sara.Partition(cfg); ok {
-					drive := func(s *sara.System) { s.Run(parHorizon) }
-					pref := captureParallel(t, cfg, 1, drive)
-					pgot := captureParallel(t, cfg, dw, drive)
-					compareParSnapshots(t,
-						fmt.Sprintf("config seed %#x: dw=%d vs 1 worker", seed, dw), pref, pgot)
-					if pgot.workers > 1 {
-						parallelRuns++
-					}
-				}
-			}
 		})
 	}
 	if totalGrants == 0 || totalSkipped == 0 {
@@ -372,8 +342,5 @@ func TestRandomizedSkipVsStepDifferential(t *testing.T) {
 	}
 	if !testing.Short() && dormancyRuns == 0 {
 		t.Fatal("fuzz pool exercised no adversarial dormancy configs")
-	}
-	if !testing.Short() && parallelRuns == 0 {
-		t.Fatal("fuzz pool exercised no multi-worker parallel runs")
 	}
 }

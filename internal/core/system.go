@@ -30,12 +30,8 @@ type Unit struct {
 // Label returns the unit's full DMA name.
 func (u *Unit) Label() string { return u.Spec.Label() }
 
-// System is a fully wired MPSoC memory subsystem. It comes in two
-// shapes: the serial kernel (one sim.Kernel driving everything; par is
-// nil) and the domain-parallel kernel built by BuildParallel (one kernel
-// per memory-channel domain advancing in lookahead epochs; kernel, dram
-// and the router fields are nil and par holds the domains). The
-// run-control and statistics methods work identically on both.
+// System is a fully wired MPSoC memory subsystem: one sim.Kernel steps
+// every core, router, controller and the shared DRAM device together.
 type System struct {
 	cfg    Config
 	kernel *sim.Kernel
@@ -50,8 +46,6 @@ type System struct {
 	nextID  uint64
 	byLabel map[string]*Unit
 	pool    txn.Pool
-
-	par *parRun
 }
 
 // mcSink adapts a memory controller into a NoC sink with credit returns:
@@ -90,22 +84,8 @@ func (s mcSink) OnCredit(w noc.Waker) {
 const regionBytes = 16 << 20
 
 // Build assembles a System from cfg. It panics on malformed
-// configurations (configs are code, not user input). With
-// cfg.DomainWorkers >= 2 and a partitionable topology it builds the
-// domain-parallel system (see BuildParallel); otherwise — including
-// every unpartitionable topology — it degrades gracefully to the serial
-// kernel, unchanged.
+// configurations (configs are code, not user input).
 func Build(cfg Config) *System {
-	if cfg.DomainWorkers > 1 {
-		if _, ok := Partition(cfg); ok {
-			return buildParallel(cfg, cfg.DomainWorkers)
-		}
-	}
-	return buildSerial(cfg)
-}
-
-// validate panics on malformed configurations (shared by both builders).
-func validate(cfg Config) {
 	if err := cfg.DRAM.Validate(); err != nil {
 		panic(err)
 	}
@@ -118,11 +98,6 @@ func validate(cfg Config) {
 	if cfg.AdaptInterval == 0 || cfg.SampleEvery == 0 {
 		panic("core: AdaptInterval and SampleEvery must be set")
 	}
-}
-
-// buildSerial assembles the single-kernel System.
-func buildSerial(cfg Config) *System {
-	validate(cfg)
 
 	s := &System{
 		cfg:     cfg,
@@ -213,8 +188,7 @@ func buildSerial(cfg Config) *System {
 		if _, dup := s.byLabel[spec.Label()]; dup {
 			panic(fmt.Sprintf("core: duplicate DMA label %q", spec.Label()))
 		}
-		u := buildUnit(unitDeps{cfg: cfg, pool: &s.pool, nextID: &s.nextID},
-			i, spec, portOf[i], rng.Fork(uint64(i)), burst)
+		u := s.buildUnit(i, spec, portOf[i], rng.Fork(uint64(i)), burst)
 		s.units = append(s.units, u)
 		s.byLabel[u.Label()] = u
 	}
@@ -271,23 +245,11 @@ func buildSerial(cfg Config) *System {
 	return s
 }
 
-// unitDeps are the shared-state dependencies of buildUnit: the config
-// plus the transaction pool and ID counter the unit's engine draws from.
-// The serial builder passes the System's own pool/counter; the parallel
-// builder passes the owning domain's, so each domain allocates and IDs
-// transactions without cross-domain sharing.
-type unitDeps struct {
-	cfg    Config
-	pool   *txn.Pool
-	nextID *uint64
-}
-
 // buildUnit assembles one DMA with its source, meter and adapter. idx is
-// the unit's global spec index — it becomes txn.Transaction.Source and
-// the unit's address-region selector, so it must be spec order even when
-// domains build disjoint subsets.
-func buildUnit(b unitDeps, idx int, spec DMASpec, port *noc.Port, rng *sim.Rand, burst uint32) *Unit {
-	cfg := b.cfg
+// the unit's spec index: it becomes txn.Transaction.Source and selects
+// the unit's address region.
+func (s *System) buildUnit(idx int, spec DMASpec, port *noc.Port, rng *sim.Rand, burst uint32) *Unit {
+	cfg := s.cfg
 	src := spec.Source
 	if src.ReqSize == 0 {
 		src.ReqSize = burst
@@ -301,8 +263,8 @@ func buildUnit(b unitDeps, idx int, spec DMASpec, port *noc.Port, rng *sim.Rand,
 		Core:   spec.Core,
 		Class:  spec.Class,
 		Window: window,
-		Pool:   b.pool,
-	}, idx, b.nextID, port, cfg.NoC.HopLatency)
+		Pool:   &s.pool,
+	}, idx, &s.nextID, port, cfg.NoC.HopLatency)
 
 	region := traffic.Region{
 		Base: txn.Addr(uint64(idx) * regionBytes),
@@ -461,28 +423,21 @@ func roundTo(v float64, reqSize uint32) uint64 {
 
 // --- accessors and run control ---
 
-// Kernel exposes the simulation kernel (tests drive it directly). It is
-// nil on a domain-parallel System, which has one kernel per domain; use
-// the System-level run control and statistics methods instead.
+// Kernel exposes the simulation kernel (tests drive it directly).
 func (s *System) Kernel() *sim.Kernel { return s.kernel }
 
-// DRAM exposes the device model. It is nil on a domain-parallel System,
-// which has one instance per domain; use DRAMStats, RowHitRate,
-// RefreshDuty and BandwidthOverWindowGBps, which work on both shapes.
+// DRAM exposes the device model. Callers that only read counters should
+// prefer DRAMStats, RowHitRate, RefreshDuty and BandwidthOverWindowGBps.
 func (s *System) DRAM() *dram.DRAM { return s.dram }
 
-// Controllers exposes the per-channel memory controllers (in channel
-// order on both the serial and the domain-parallel System).
+// Controllers exposes the per-channel memory controllers in channel
+// order.
 func (s *System) Controllers() []*memctrl.Controller { return s.ctrls }
 
 // Routers exposes the NoC routers in tick order (aggregation routers
-// first, root last; on the domain-parallel System, per domain in domain
-// order with the channel ingress router after each domain's root); the
-// equivalence tests compare their statistics across kernel modes.
+// first, root last); the equivalence tests compare their statistics
+// across kernel modes.
 func (s *System) Routers() []*noc.Router {
-	if s.par != nil {
-		return s.par.routers()
-	}
 	var out []*noc.Router
 	if s.mediaRouter != nil {
 		out = append(out, s.mediaRouter)
@@ -493,34 +448,8 @@ func (s *System) Routers() []*noc.Router {
 	return append(out, s.rootRouter)
 }
 
-// Domains reports the number of per-channel domains: 0 on the serial
-// kernel, the channel count on a domain-parallel System.
-func (s *System) Domains() int {
-	if s.par == nil {
-		return 0
-	}
-	return len(s.par.domains)
-}
-
-// DomainWorkers reports the goroutine count a domain-parallel System
-// runs on (0 on the serial kernel). It can be lower than requested: the
-// worker count is clamped to a divisor of the domain count so every
-// worker owns the same number of domains.
-func (s *System) DomainWorkers() int {
-	if s.par == nil {
-		return 0
-	}
-	return s.par.workers
-}
-
-// DRAMStats snapshots the per-channel DRAM counters, merging across
-// domains on a domain-parallel System.
-func (s *System) DRAMStats() dram.Stats {
-	if s.par == nil {
-		return s.dram.Stats()
-	}
-	return s.par.dramStats()
-}
+// DRAMStats snapshots the per-channel DRAM counters.
+func (s *System) DRAMStats() dram.Stats { return s.dram.Stats() }
 
 // RowHitRate reports the device-wide row-buffer hit rate.
 func (s *System) RowHitRate() float64 { return s.DRAMStats().RowHitRate() }
@@ -538,17 +467,8 @@ func (s *System) BandwidthOverWindowGBps(before dram.Stats, from, to sim.Cycle) 
 }
 
 // SkippedCycles reports how many cycles idle skipping fast-forwarded
-// over (summed across domains on a domain-parallel System).
-func (s *System) SkippedCycles() uint64 {
-	if s.par == nil {
-		return s.kernel.SkippedCycles()
-	}
-	var n uint64
-	for _, d := range s.par.domains {
-		n += d.kernel.SkippedCycles()
-	}
-	return n
-}
+// over.
+func (s *System) SkippedCycles() uint64 { return s.kernel.SkippedCycles() }
 
 // Units exposes every assembled DMA.
 func (s *System) Units() []*Unit { return s.units }
@@ -562,24 +482,11 @@ func (s *System) Unit(label string) (*Unit, bool) {
 // Config returns the system configuration.
 func (s *System) Config() Config { return s.cfg }
 
-// Now reports the current cycle. On a domain-parallel System every
-// domain kernel agrees on the cycle between Run calls (they rendezvous
-// at the run horizon), so domain 0's clock is the system clock.
-func (s *System) Now() sim.Cycle {
-	if s.par != nil {
-		return s.par.now()
-	}
-	return s.kernel.Now()
-}
+// Now reports the current cycle.
+func (s *System) Now() sim.Cycle { return s.kernel.Now() }
 
 // Run advances the simulation by n cycles.
-func (s *System) Run(n sim.Cycle) {
-	if s.par != nil {
-		s.par.run(s.par.now()+n, false)
-		return
-	}
-	s.kernel.RunFor(n)
-}
+func (s *System) Run(n sim.Cycle) { s.kernel.RunFor(n) }
 
 // RunFrames advances the simulation by k frame periods.
 func (s *System) RunFrames(k int) {
@@ -589,28 +496,17 @@ func (s *System) RunFrames(k int) {
 // RunChecked advances the simulation by n cycles with failures contained:
 // panics raised anywhere in the system surface as a *sim.PanicError, and
 // any watchdog installed with SetWatchdog bounds the run (see
-// sim.Kernel.RunChecked). On a domain-parallel System a worker panic or
-// watchdog trip aborts the epoch barrier, so every worker unwinds and
-// the first error is returned.
-func (s *System) RunChecked(n sim.Cycle) error {
-	if s.par != nil {
-		return s.par.run(s.par.now()+n, true)
-	}
-	return s.kernel.RunForChecked(n)
-}
+// sim.Kernel.RunChecked).
+func (s *System) RunChecked(n sim.Cycle) error { return s.kernel.RunForChecked(n) }
 
 // RunFramesChecked is RunChecked over k frame periods.
 func (s *System) RunFramesChecked(k int) error {
 	return s.RunChecked(sim.Cycle(k) * s.cfg.FramePeriod())
 }
 
-// SetWatchdog installs wd, defaulting its Outstanding and Progress
-// probes to the system-level ones (in-flight transactions and completed
-// transactions) when unset, so callers only pick budgets. On a
-// domain-parallel System the watchdog is evaluated by worker 0 at epoch
-// boundaries — the only points where every domain is quiescent — so
-// CheckEvery is effectively the epoch length and the parked-deadlock
-// check is subsumed by the progress budget.
+// SetWatchdog installs wd on the kernel, defaulting its Outstanding and
+// Progress probes to the system-level ones (in-flight transactions and
+// completed transactions) when unset, so callers only pick budgets.
 func (s *System) SetWatchdog(wd *sim.Watchdog) {
 	if wd != nil {
 		if wd.Outstanding == nil {
@@ -619,10 +515,6 @@ func (s *System) SetWatchdog(wd *sim.Watchdog) {
 		if wd.Progress == nil {
 			wd.Progress = s.CompletedTransactions
 		}
-	}
-	if s.par != nil {
-		s.par.setWatchdog(wd)
-		return
 	}
 	s.kernel.SetWatchdog(wd)
 }

@@ -48,18 +48,6 @@ type Options struct {
 	// streams, so results are identical regardless of worker count; the
 	// identity tests assert it.
 	Workers int
-	// DomainWorkers, when >= 2, builds every cell's system with the
-	// domain-parallel kernel (core.BuildParallel): one domain per memory
-	// channel, run on up to that many goroutines. The partitioned
-	// topology is a different system than the serial one — the journal
-	// key records it — but its results are identical at every goroutine
-	// count, so the budget cap below never changes measurements. The
-	// actual goroutine count per run is EffectiveDomainWorkers: the
-	// across-run fan-out (Workers) wins the core budget, because
-	// embarrassingly parallel runs scale better than intra-run domains.
-	// Analyze, Monitor and Chaos hook the serial kernel, so any of them
-	// forces the serial build (apply clears this field).
-	DomainWorkers int
 
 	// The supervisor knobs below are all zero-cost when left at their
 	// zero values: no watchdog is armed, no journal is opened, and runs
@@ -116,55 +104,7 @@ func (o Options) apply() Options {
 		// edges that cannot tell concurrent systems apart.
 		o.Workers = 1
 	}
-	if o.Analyze || o.Monitor != nil || o.Chaos != nil {
-		// Analyzers and chaos arm the serial kernel (sys.Kernel());
-		// the domain-parallel build has no single kernel to hook.
-		o.DomainWorkers = 0
-	}
 	return o
-}
-
-// EffectiveDomainWorkers caps the per-run domain-worker count so the
-// whole sweep stays within the core budget: requested domain workers,
-// bounded by maxProcs divided by the across-run fan-out. The across-run
-// fan-out wins the contested cores — independent runs scale linearly
-// while intra-run domains synchronize every epoch — so an oversubscribed
-// sweep degrades each run toward 1 goroutine (which, on the partitioned
-// topology, is bit-identical anyway).
-func EffectiveDomainWorkers(requested, runWorkers, maxProcs int) int {
-	if requested <= 1 {
-		return 1
-	}
-	if runWorkers < 1 {
-		runWorkers = 1
-	}
-	budget := maxProcs / runWorkers
-	if budget < 1 {
-		budget = 1
-	}
-	if requested < budget {
-		return requested
-	}
-	return budget
-}
-
-// buildSystem builds one run's system under the options' kernel choice:
-// the serial kernel by default, the domain-parallel one when
-// DomainWorkers requests it (falling back to serial automatically on
-// unpartitionable topologies). The goroutine budget is shared with the
-// across-run fan-out via EffectiveDomainWorkers; the build keeps the
-// partitioned topology even when the budget caps it to one goroutine,
-// so results never depend on the host's core count.
-func (o Options) buildSystem(cfg core.Config) *core.System {
-	if o.DomainWorkers > 1 {
-		runWorkers := o.Workers
-		if runWorkers <= 0 {
-			runWorkers = runtime.GOMAXPROCS(0)
-		}
-		eff := EffectiveDomainWorkers(o.DomainWorkers, runWorkers, runtime.GOMAXPROCS(0))
-		return core.BuildParallel(cfg, eff)
-	}
-	return core.Build(cfg)
 }
 
 // DefaultOptions is the standard experiment fidelity.
@@ -401,7 +341,7 @@ func Fig7(opt Options) []FreqHistogram {
 			config.WithSeed(opt.Seed),
 			config.WithDataRate(mtps),
 			config.WithRefresh(opt.Refresh))
-		sys := opt.buildSystem(cfg)
+		sys := core.Build(cfg)
 		sys.RunFrames(opt.WarmupFrames + opt.MeasureFrames)
 		hist := sys.PriorityHistogramByCore("Image Proc.")
 		h := FreqHistogram{DataRateMTps: mtps, Fraction: make([]float64, hist.Levels())}
@@ -453,7 +393,7 @@ func Fig8(opt Options) []BandwidthResult {
 			config.WithScaleDiv(opt.ScaleDiv),
 			config.WithSeed(opt.Seed),
 			config.WithRefresh(opt.Refresh))
-		sys := opt.buildSystem(cfg)
+		sys := core.Build(cfg)
 		sys.RunFrames(warmup)
 		from := sys.Now()
 		before := sys.DRAMStats()

@@ -66,6 +66,17 @@ func BandwidthSummary(runs []PolicyRun) stats.Summary {
 // sample there) contributes only the runs that measured it, which the
 // per-core Summary.N reports.
 func PerCoreNPISummaries(runs []PolicyRun) ([]string, map[string]stats.Summary) {
+	cores, vals := perCoreNPI(runs)
+	out := make(map[string]stats.Summary, len(cores))
+	for _, core := range cores {
+		out[core] = stats.Summarize(vals[core])
+	}
+	return cores, out
+}
+
+// perCoreNPI gathers each core's per-seed minimum NPI samples, in run
+// order, and the cores in sorted order.
+func perCoreNPI(runs []PolicyRun) ([]string, map[string][]float64) {
 	vals := map[string][]float64{}
 	for _, r := range runs {
 		for core, v := range r.MinNPI { //sara:maprange-ok each core's slice gets one sample per run, so per-slice order is run order
@@ -77,11 +88,7 @@ func PerCoreNPISummaries(runs []PolicyRun) ([]string, map[string]stats.Summary) 
 		cores = append(cores, core)
 	}
 	sort.Strings(cores)
-	out := make(map[string]stats.Summary, len(cores))
-	for _, core := range cores {
-		out[core] = stats.Summarize(vals[core])
-	}
-	return cores, out
+	return cores, vals
 }
 
 // FormatSeedSummary renders a seed fan-out as one line per metric.
@@ -108,20 +115,30 @@ func FormatSeedSummary(runs []PolicyRun) string {
 	}
 	fmt.Fprintf(&b, "  bandwidth GB/s %6.2f +/- %.2f (std %.2f)\n", bw.Mean, bw.CI95, bw.Std)
 	// The per-core table the figures plot, with across-seed error bars:
-	// each row is one core's min-NPI mean +/- 95% CI over the seed pool,
-	// flagged against the same pass/fail thresholds as a single run.
-	cores, sums := PerCoreNPISummaries(runs)
+	// each row is one core's min-NPI mean +/- 95% CI over the seed pool.
+	// The verdict comes from the core's worst seed, against the same
+	// pass/fail thresholds as a single run, so one failing seed cannot
+	// hide behind a healthy mean.
+	cores, vals := perCoreNPI(runs)
 	for _, core := range cores {
-		s := sums[core]
+		xs := vals[core]
+		s := stats.Summarize(xs)
+		worst, below := math.Inf(1), 0
+		for _, v := range xs {
+			worst = math.Min(worst, v)
+			if v < PassNPI {
+				below++
+			}
+		}
 		status := "PASS"
 		switch {
-		case s.Mean < FailNPI:
+		case worst < FailNPI:
 			status = "FAIL"
-		case s.Mean < PassNPI:
+		case worst < PassNPI:
 			status = "WARN"
 		}
-		fmt.Fprintf(&b, "    %-14s min NPI %6.3f +/- %.3f (std %.3f, %d seeds)  %s\n",
-			core, s.Mean, s.CI95, s.Std, s.N, status)
+		fmt.Fprintf(&b, "    %-14s min NPI %6.3f +/- %.3f (std %.3f)  worst %6.3f, %d/%d seeds below target  %s\n",
+			core, s.Mean, s.CI95, s.Std, worst, below, s.N, status)
 	}
 	return b.String()
 }

@@ -126,6 +126,35 @@ func TestPerCoreNPISummaries(t *testing.T) {
 	}
 }
 
+// TestFormatSeedSummaryWorstSeedVerdict: a core whose mean clears the
+// target while one seed fails must read FAIL, with the failing seed
+// counted, and a core with one seed between the thresholds reads WARN.
+func TestFormatSeedSummaryWorstSeedVerdict(t *testing.T) {
+	runs := []PolicyRun{
+		{Case: config.CaseA, Policy: memctrl.QoS, MinNPI: map[string]float64{"GPS": 1.6, "DSP": 1.2}},
+		{Case: config.CaseA, Policy: memctrl.QoS, MinNPI: map[string]float64{"GPS": 1.6, "DSP": 0.9}},
+		{Case: config.CaseA, Policy: memctrl.QoS, MinNPI: map[string]float64{"GPS": 0.35, "DSP": 1.2}},
+	}
+	out := FormatSeedSummary(runs)
+	row := func(core string) string {
+		for _, line := range strings.Split(out, "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), core+" ") {
+				return line
+			}
+		}
+		t.Fatalf("summary lacks a row for %s:\n%s", core, out)
+		return ""
+	}
+	gps := row("GPS")
+	if !strings.HasSuffix(gps, "FAIL") || !strings.Contains(gps, "worst  0.350, 1/3 seeds below target") {
+		t.Errorf("GPS at {1.6, 1.6, 0.35} must FAIL on its worst seed:\n%s", gps)
+	}
+	dsp := row("DSP")
+	if !strings.HasSuffix(dsp, "WARN") || !strings.Contains(dsp, "1/3 seeds below target") {
+		t.Errorf("DSP at {1.2, 0.9, 1.2} must WARN on its worst seed:\n%s", dsp)
+	}
+}
+
 // TestFormatSeedSummaryPerCoreRows asserts the seed summary renders the
 // per-core error-bar table alongside the aggregate lines.
 func TestFormatSeedSummaryPerCoreRows(t *testing.T) {

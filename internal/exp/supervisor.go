@@ -76,19 +76,9 @@ func (c Cell) normalize(opt Options) Cell {
 func (c Cell) Canonical(opt Options) string {
 	opt = opt.apply()
 	c = c.normalize(opt)
-	s := fmt.Sprintf("v1 case=%s policy=%s mtps=%d seed=%d scale=%d saturated=%t scalediv=%d warmup=%d measure=%d refresh=%t",
+	return fmt.Sprintf("v1 case=%s policy=%s mtps=%d seed=%d scale=%d saturated=%t scalediv=%d warmup=%d measure=%d refresh=%t",
 		c.Case, c.Policy, c.DataRateMTps, c.Seed, c.Scale, c.Saturated,
 		opt.ScaleDiv, opt.WarmupFrames, opt.MeasureFrames, opt.Refresh)
-	if opt.DomainWorkers > 1 {
-		// The domain-parallel build is a different topology (per-channel
-		// ingress routers) with different — though internally
-		// worker-count-invariant — results, so it hashes to a different
-		// journal key. The goroutine count itself is absent on purpose:
-		// it never changes results. Appending keeps every serial-run key
-		// stable.
-		s += " kernel=domains"
-	}
-	return s
 }
 
 // Key is the canonical config hash journal entries are keyed by.
@@ -126,9 +116,6 @@ func (c Cell) Repro(opt Options) string {
 	}
 	if opt.MeasureFrames != 1 {
 		parts = append(parts, "-measure", fmt.Sprint(opt.MeasureFrames))
-	}
-	if opt.DomainWorkers > 1 {
-		parts = append(parts, "-domain-workers", fmt.Sprint(opt.DomainWorkers))
 	}
 	return repro.Command(parts...)
 }
@@ -256,7 +243,7 @@ func runCellOnce(c Cell, opt Options, attempt int) (run PolicyRun, rerr *RunErro
 		}
 	}()
 	cfg := c.Config(opt)
-	sys := opt.buildSystem(cfg)
+	sys := core.Build(cfg)
 	var az *analysis.Analyzer
 	if opt.Analyze || opt.Monitor != nil {
 		mon = opt.Monitor.StartRun(c.String())

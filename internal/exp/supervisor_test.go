@@ -372,6 +372,25 @@ func TestCellKeyIdentity(t *testing.T) {
 	if base.Key(opt) == base.Key(scaleOpt) {
 		t.Error("scale-div change does not change the journal key")
 	}
+
+	// Golden: the default cell's preimage, hash and repro line. Every
+	// journal written so far keys its entries this way; any drift here
+	// strands those journals on resume.
+	def := Cell{Case: config.CaseA, Policy: memctrl.QoS}
+	const (
+		wantCanon = "v1 case=A policy=qos mtps=0 seed=1 scale=1 saturated=false scalediv=256 warmup=0 measure=1 refresh=false"
+		wantKey   = "feecde279c98dd7e"
+		wantRepro = "go run ./cmd/sarasweep -sweep cell -case A -policy qos -seed 1"
+	)
+	if got := def.Canonical(DefaultOptions()); got != wantCanon {
+		t.Errorf("default cell canonical\n got %q\nwant %q", got, wantCanon)
+	}
+	if got := def.Key(DefaultOptions()); got != wantKey {
+		t.Errorf("default cell key %q, want %q", got, wantKey)
+	}
+	if got := def.Repro(DefaultOptions()); got != wantRepro {
+		t.Errorf("default cell repro\n got %q\nwant %q", got, wantRepro)
+	}
 }
 
 // TestForEachPanicSafety asserts the worker pool lets every slot finish

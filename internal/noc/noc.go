@@ -86,16 +86,6 @@ func DefaultParams() Params {
 	return Params{PortDepth: 16, HopLatency: 2, RespLatency: 12, Arb: ArbPriority, AgingT: 10000}
 }
 
-// CrossDomainLatency is the minimum latency of a request crossing a
-// router-to-router link plus its injection stage: the link hop plus the
-// one-cycle store-and-forward step of the receiving port. It is the
-// conservative lookahead of the domain-parallel kernel (core.BuildParallel):
-// a packet granted at cycle t cannot influence another domain before
-// t + CrossDomainLatency, so domains may run that many cycles ahead of
-// each other between barriers. Derived from the config, never hardcoded —
-// fuzzed hop latencies change the epoch length with it.
-func (p Params) CrossDomainLatency() sim.Cycle { return p.HopLatency + 1 }
-
 // Waker is the wake-propagation half of the event-driven arbitration
 // contract: a component that caches its next-grant cycle implements Waker
 // so the events that could make a grant possible earlier — an upstream
@@ -140,12 +130,6 @@ type Port struct {
 	creditTo    Waker
 	creditLazy  bool
 	creditArmed bool
-	// onPop, when set, observes every pop (not just full ones) with the
-	// pop cycle. The domain-parallel kernel uses it on cross-domain
-	// ingress ports to count credits owed to the sending domain; credits
-	// travel back through the barrier exchange instead of a Waker because
-	// the sender lives on another goroutine.
-	onPop func(now sim.Cycle)
 }
 
 // NewPort returns a port with the given FIFO depth.
@@ -212,9 +196,6 @@ func (p *Port) pop(now sim.Cycle) packet {
 		p.creditArmed = false
 		p.creditTo.Wake(now + 1)
 	}
-	if p.onPop != nil {
-		p.onPop(now)
-	}
 	return pk
 }
 
@@ -279,16 +260,6 @@ func (p *Port) OnCreditArmed(w Waker) {
 //
 //sara:hotpath
 func (p *Port) ArmCredit() { p.creditArmed = true }
-
-// OnPop registers a per-pop observer (every pop, not only full ones).
-// A port has exactly one observer; wiring a second would silently drop
-// the first one's credit accounting, so it panics instead.
-func (p *Port) OnPop(fn func(now sim.Cycle)) {
-	if p.onPop != nil {
-		panic("noc: port already pop-wired")
-	}
-	p.onPop = fn
-}
 
 // OnCredit implements CreditSink: pops of the full downstream port wake w.
 func (s PortSink) OnCredit(w Waker) { s.Port.OnCredit(w) }

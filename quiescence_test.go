@@ -30,10 +30,6 @@ func TestNoMissedGrantWindows(t *testing.T) {
 	const horizon = sara.Cycle(25000)
 	prop := func(seed uint64) bool {
 		cfg, desc := fuzzConfig(seed)
-		// This property replays the serial kernel's modes (the stepped
-		// reference needs sys.Kernel(), nil on domain-parallel builds);
-		// the fuzz pool's parallel differential covers the domain kernel.
-		cfg.DomainWorkers = 0
 
 		// Event-driven run: record every sleep window and every grant.
 		windows := map[string][]sleepWindow{}

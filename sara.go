@@ -87,20 +87,6 @@ type Unit = core.Unit
 // Build assembles a System from a Config.
 func Build(cfg Config) *System { return core.Build(cfg) }
 
-// BuildParallel assembles the domain-parallel System: one domain per
-// memory channel, run on workers goroutines synchronized at
-// conservative-lookahead epoch barriers. Results are bit-identical
-// across worker counts; unpartitionable configs fall back to the serial
-// kernel. See core.BuildParallel.
-func BuildParallel(cfg Config, workers int) *System { return core.BuildParallel(cfg, workers) }
-
-// PartitionPlan describes how a config shards into per-channel domains.
-type PartitionPlan = core.PartitionPlan
-
-// Partition reports the per-channel domain decomposition of a config,
-// or ok=false when the topology cannot be safely sharded.
-func Partition(cfg Config) (PartitionPlan, bool) { return core.Partition(cfg) }
-
 // Case identifies one of the paper's test cases.
 type Case = config.Case
 
@@ -158,8 +144,6 @@ var (
 	WithAgingT = config.WithAgingT
 	// WithAdaptInterval overrides the adaptation period.
 	WithAdaptInterval = config.WithAdaptInterval
-	// WithDomainWorkers selects the domain-parallel kernel (>= 2 workers).
-	WithDomainWorkers = config.WithDomainWorkers
 )
 
 // Experiments re-exports the per-figure harness.
