@@ -9,9 +9,11 @@
 // With -baseline it additionally gates on cost ratios measured within
 // one run (see gatedRatios) and exits 3 when any ratio grew by more than
 // -tolerance (fraction, default 0.25) over the same ratio computed from
-// a previously-emitted report. Absolute ns are recorded, never compared:
-// they move with the host, while a ratio of two benchmarks from the same
-// run does not.
+// a previously-emitted report. Each term of a ratio is the median
+// ns/cycle over every line of its benchmark name, so a `go test -count=N`
+// run gates on all N samples rather than the first. Absolute ns are
+// recorded, never compared: they move with the host, while a ratio of
+// two benchmarks from the same run does not.
 //
 //	benchjson -baseline bench_baseline.json bench.out >/dev/null
 package main
@@ -23,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 )
 
@@ -46,8 +49,12 @@ var gatedRatios = []ratio{
 }
 
 // value computes r over rep, or ok=false when either term is missing.
+// Each term is the median cost over every line of its name (go test
+// -count repeats a benchmark as several lines), so one noisy sample
+// cannot decide the gate; a line without a usable cost voids the term.
 func (r ratio) value(rep Report) (float64, bool) {
 	cost := func(name string) (float64, bool) {
+		var vs []float64
 		for _, b := range rep.Benchmarks {
 			if b.Name != name {
 				continue
@@ -59,9 +66,12 @@ func (r ratio) value(rep Report) (float64, bool) {
 			if v == nil || *v <= 0 {
 				return 0, false
 			}
-			return *v, true
+			vs = append(vs, *v)
 		}
-		return 0, false
+		if len(vs) == 0 {
+			return 0, false
+		}
+		return median(vs), true
 	}
 	n, ok := cost(r.num)
 	if !ok {
@@ -72,6 +82,17 @@ func (r ratio) value(rep Report) (float64, bool) {
 		return 0, false
 	}
 	return n / d, true
+}
+
+// median returns the middle value of vs (the mean of the middle two for
+// an even count), reordering vs in place.
+func median(vs []float64) float64 {
+	slices.Sort(vs)
+	n := len(vs)
+	if n%2 == 1 {
+		return vs[n/2]
+	}
+	return (vs[n/2-1] + vs[n/2]) / 2
 }
 
 // Bench is one parsed benchmark result line.

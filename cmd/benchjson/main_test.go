@@ -271,6 +271,42 @@ func TestBaselineDisjointNamesFail(t *testing.T) {
 	}
 }
 
+func TestBaselineMedianIgnoresOutlier(t *testing.T) {
+	// Five -count samples per name, one of them a 2x outlier on the
+	// skipping run: the median still reads the quiet samples, so the
+	// case-A ratio equals the single-sample one and the gate passes.
+	in := benchOutput(nil, "-2")
+	for i := 0; i < 3; i++ {
+		in += benchOutput(nil, "-2")
+	}
+	in += benchOutput(map[string]float64{"BenchmarkSimulatorThroughput": 2}, "-2")
+	rep, err := parse(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, err := parse(strings.NewReader(benchOutput(nil, "")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := gatedRatios[0]
+	got, ok := r.value(rep)
+	want, okWant := r.value(single)
+	if !ok || !okWant || got != want {
+		t.Fatalf("%s over five samples = %v (ok %v), want the single-sample %v", r.label, got, ok, want)
+	}
+	if code, stderr := gate(t, in, writeBaseline(t, nil)); code != 0 {
+		t.Fatalf("exit code %d, want 0; stderr:\n%s", code, stderr)
+	}
+	// The median is still a real gate: three slow samples of five move it.
+	slow := benchOutput(nil, "-2") + benchOutput(nil, "-2")
+	for i := 0; i < 3; i++ {
+		slow += benchOutput(map[string]float64{"BenchmarkSimulatorThroughput": 1.4}, "-2")
+	}
+	if code, stderr := gate(t, slow, writeBaseline(t, nil)); code != 3 {
+		t.Fatalf("exit code %d, want 3; stderr:\n%s", code, stderr)
+	}
+}
+
 func TestBaselineMissingFileFails(t *testing.T) {
 	var out, errb strings.Builder
 	if code := run([]string{"-baseline", "/no/such/baseline.json"},

@@ -60,10 +60,33 @@ import (
 // scan leaves the cached bounds untouched; they remain sound because
 // aged-pass issues dirty their banks like any other issue.
 //
+// # Bank mask and aging deadline
+//
+// Two more caches keep a scan's cost proportional to the occupied banks
+// rather than to the geometry:
+//
+//   - nonempty has bit k set exactly when bucket k holds entries. It is
+//     maintained at the only two membership edges — bucketPush sets the
+//     bit, bucketRemove clears it when the bucket empties — and
+//     collectBuckets walks its set bits in ascending key order, the same
+//     order as a walk over every bucket, so candidate order and policy
+//     tie-breaks are unchanged.
+//   - agingAt is the earliest aging deadline (Enqueue+AgingT) over the
+//     class-queue heads. Queues are FIFO with monotone Enqueue stamps, so
+//     each head is its queue's oldest entry and the minimum only moves
+//     when a head changes: Enqueue into an empty queue lowers it, and the
+//     CAS removal of a head (issueCAS) recomputes it over the five heads.
+//     The aged-pass test in collectCandidates and the bucket scan's
+//     aging bound on the dormancy window read it. Like readyAt it must
+//     never be LATER than the true head minimum — that would skip an
+//     aged pass and diverge from the reference — while an earlier value
+//     only costs a full rescan that finds nothing aged.
+//
 // SetForceScan keeps the contract honest: with it enabled the controller
 // re-derives candidates from scratch every tick — no nextTry dormancy, no
-// bucket caches, full bankHit recompute — giving the differential fuzz
-// harness a stepped reference that any stale bound diverges from.
+// bucket caches or bank mask, a linear head walk for the aging test, full
+// bankHit recompute — giving the differential fuzz harness a stepped
+// reference that any stale bound diverges from.
 
 // bucket indexes the queued entries of one bank.
 type bucket struct {
@@ -98,6 +121,7 @@ func (c *Controller) bucketPush(e entry) {
 	b := &c.buckets[key]
 	b.entries = append(b.entries, e) //sara:alloc-ok bucket capacity amortizes to steady state (0 allocs/op bench gate)
 	b.dirty = true
+	c.nonempty[key>>6] |= 1 << (key & 63)
 	if c.rowAware {
 		if p := entryHit(&c.scan.Banks[key], &e); p > c.bankHit[key] {
 			c.bankHit[key] = p
@@ -113,6 +137,9 @@ func (c *Controller) bucketRemove(key int, id uint64) {
 			copy(es[i:], es[i+1:])
 			es[len(es)-1] = entry{}
 			c.buckets[key].entries = es[:len(es)-1]
+			if len(es) == 1 {
+				c.nonempty[key>>6] &^= 1 << (key & 63)
+			}
 			return
 		}
 	}

@@ -20,8 +20,10 @@ type issueRecord struct {
 // for the given cycles, recording every issued command. With force set
 // the controller re-derives candidates from scratch every cycle; without
 // it the per-bank buckets and the dormancy window are live. Both must
-// produce identical command streams.
-func driveRandom(t *testing.T, policy PolicyKind, seed uint64, refresh, force bool, cycles sim.Cycle) []issueRecord {
+// produce identical command streams. A non-nil corrupt runs before every
+// Tick, after the cycle's arrivals: the stale-cache tests use it to
+// break one of the controller's caches on purpose.
+func driveRandom(t *testing.T, policy PolicyKind, seed uint64, refresh, force bool, cycles sim.Cycle, corrupt func(*Controller)) []issueRecord {
 	t.Helper()
 	SetForceScan(force)
 	defer SetForceScan(false)
@@ -78,6 +80,9 @@ func driveRandom(t *testing.T, policy PolicyKind, seed uint64, refresh, force bo
 				c.Enqueue(tr, now)
 			}
 		}
+		if corrupt != nil {
+			corrupt(c)
+		}
 		c.Tick(now)
 	}
 	return out
@@ -96,8 +101,8 @@ func TestBucketScanMatchesForceScan(t *testing.T) {
 			policy, refresh := policy, refresh
 			t.Run(fmt.Sprintf("%v/refresh=%v", policy, refresh), func(t *testing.T) {
 				for seed := uint64(1); seed <= 5; seed++ {
-					ref := driveRandom(t, policy, seed, refresh, true, 30000)
-					fast := driveRandom(t, policy, seed, refresh, false, 30000)
+					ref := driveRandom(t, policy, seed, refresh, true, 30000, nil)
+					fast := driveRandom(t, policy, seed, refresh, false, 30000, nil)
 					if len(ref) == 0 {
 						t.Fatalf("seed %d: reference issued nothing", seed)
 					}
@@ -157,5 +162,82 @@ func TestBucketMembershipTracksQueues(t *testing.T) {
 	}
 	if c.Pending() != nBuckets {
 		t.Fatalf("Pending() %d, bucket population %d", c.Pending(), nBuckets)
+	}
+}
+
+// TestScanCachesTrackQueues pins the bank mask and the cached aging
+// deadline against their from-scratch definitions: after every cycle of
+// a random enqueue-and-serve run across all five classes, agingAt must
+// equal the minimum head deadline recomputed linearly, and bit k of
+// nonempty must be set exactly when bucket k holds entries.
+func TestScanCachesTrackQueues(t *testing.T) {
+	for _, agingT := range []sim.Cycle{0, 300} {
+		c, d := newTestController(QoS)
+		c.cfg.AgingT = agingT
+		rng := sim.NewRand(11)
+		id := uint64(0)
+		for now := sim.Cycle(0); now < 20000; now++ {
+			if rng.Bool(0.3) {
+				class := txn.Class(rng.Intn(txn.NumClasses))
+				if c.SpaceFor(class) {
+					id++
+					loc := dram.Location{Channel: 0, Rank: rng.Intn(2), Bank: rng.Intn(8), Row: uint64(rng.Intn(3))}
+					c.Enqueue(&txn.Transaction{ID: id, Kind: txn.Read, Addr: d.Mapper().Encode(loc),
+						Size: 128, Class: class, Priority: txn.Priority(rng.Intn(8))}, now)
+				}
+			}
+			c.Tick(now)
+			if want := c.headAgingDeadline(); c.agingAt != want {
+				t.Fatalf("agingT=%d cycle %d: cached aging deadline %d, head minimum %d", agingT, now, c.agingAt, want)
+			}
+			for k := range c.buckets {
+				set := c.nonempty[k>>6]&(1<<(k&63)) != 0
+				if set != (len(c.buckets[k].entries) > 0) {
+					t.Fatalf("agingT=%d cycle %d: nonempty bit %d = %v, bucket holds %d entries",
+						agingT, now, k, set, len(c.buckets[k].entries))
+				}
+			}
+		}
+		if c.stats.Served == 0 {
+			t.Fatalf("agingT=%d: nothing served", agingT)
+		}
+		if agingT > 0 && c.stats.AgedServes == 0 {
+			t.Fatalf("agingT=%d: no aged serves; the aging cache was never exercised", agingT)
+		}
+	}
+}
+
+// TestStaleScanCacheDivergesFromForceScan is the negative control for
+// the two caches: with the aging deadline or the bank mask deliberately
+// stale, the bucket scan must issue a different command stream from the
+// SetForceScan reference, which derives both from scratch — so the
+// differential suites would catch a missed cache update.
+func TestStaleScanCacheDivergesFromForceScan(t *testing.T) {
+	stale := map[string]func(*Controller){
+		// An aging deadline that never arrives: aged passes are lost.
+		"aging": func(c *Controller) { c.agingAt = neverTry },
+		// A mask that forgets bank 0 of rank 0: its entries are never
+		// scanned.
+		"mask": func(c *Controller) { c.nonempty[0] &^= 1 },
+	}
+	for name, corrupt := range stale {
+		diverged := false
+		for seed := uint64(1); seed <= 5 && !diverged; seed++ {
+			ref := driveRandom(t, QoS, seed, false, true, 30000, nil)
+			fast := driveRandom(t, QoS, seed, false, false, 30000, corrupt)
+			if len(ref) != len(fast) {
+				diverged = true
+				break
+			}
+			for i := range ref {
+				if ref[i] != fast[i] {
+					diverged = true
+					break
+				}
+			}
+		}
+		if !diverged {
+			t.Fatalf("stale %s cache matched the force-scan reference on every seed", name)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package memctrl
 
 import (
 	"fmt"
+	"math/bits"
 
 	"sara/internal/dram"
 	"sara/internal/sim"
@@ -104,8 +105,18 @@ type Controller struct {
 	rowAware bool
 
 	// buckets index the queued entries by bank; see bucket.go for the
-	// incremental-maintenance and invalidation contract.
-	buckets []bucket
+	// incremental-maintenance and invalidation contract. nonempty has bit
+	// k set exactly when buckets[k] holds entries, so a scan visits only
+	// occupied banks.
+	buckets  []bucket
+	nonempty []uint64
+
+	// agingAt caches the earliest aging deadline (Enqueue+AgingT) over
+	// the class-queue heads, neverTry when every queue is empty or aging
+	// is off. Heads are their queues' oldest entries, so the cache only
+	// moves when a head changes: an enqueue into an empty queue, or the
+	// CAS removal of a head (see bucket.go).
+	agingAt sim.Cycle
 
 	// npending caches the total queued-transaction count across the five
 	// class queues; Pending is on the controller's activity-hint path,
@@ -181,6 +192,8 @@ func New(cfg Config, d *dram.DRAM) *Controller {
 		bankHit:   make([]uint16, geo.Ranks*geo.Banks),
 		rowAware:  cfg.Policy == FRFCFS || cfg.Policy == QoSRB,
 		buckets:   make([]bucket, geo.Ranks*geo.Banks),
+		nonempty:  make([]uint64, (geo.Ranks*geo.Banks+63)/64),
+		agingAt:   neverTry,
 		nBanks:    geo.Banks,
 		nRanks:    geo.Ranks,
 		refreshOn: d.RefreshEnabled(),
@@ -230,7 +243,11 @@ func (c *Controller) Enqueue(t *txn.Transaction, now sim.Cycle) {
 	t.RowPath = neededNothing
 	wasEmpty := c.npending == 0
 	e := entry{t: t, loc: loc}
-	c.queues[t.Class].push(e)
+	q := &c.queues[t.Class]
+	if len(q.entries) == 0 && c.cfg.AgingT > 0 && now+c.cfg.AgingT < c.agingAt {
+		c.agingAt = now + c.cfg.AgingT
+	}
+	q.push(e)
 	c.npending++
 	c.bucketPush(e)
 	c.stats.Enqueued++
@@ -505,59 +522,72 @@ func (c *Controller) nextRefreshAction(now sim.Cycle) sim.Cycle {
 // legacy rescan (collectFull), which re-derives everything from scratch.
 func (c *Controller) collectCandidates(now sim.Cycle) {
 	// Queues are FIFO and Enqueue stamps are monotone, so each class head
-	// is its queue's oldest entry: five compares decide whether any aging
-	// work exists at all.
-	hasAged := false
-	if c.cfg.AgingT > 0 {
-		for qi := range c.queues {
-			if es := c.queues[qi].entries; len(es) > 0 && now >= es[0].t.Enqueue+c.cfg.AgingT {
-				hasAged = true
-				break
-			}
-		}
+	// is its queue's oldest entry: the earliest head deadline decides
+	// whether any aging work exists at all. The reference re-derives it.
+	if forceScan {
+		c.collectFull(now, now >= c.headAgingDeadline())
+		return
 	}
-	if hasAged || forceScan {
-		c.collectFull(now, hasAged)
+	if now >= c.agingAt {
+		c.collectFull(now, true)
 		return
 	}
 	c.collectBuckets(now)
 }
 
-// collectBuckets is the incremental scan: clean buckets parked in the
-// future contribute their cached bound without any per-entry work; dirty
-// or due buckets are re-probed and their bound refreshed. It is only
-// valid while no queued transaction is over the aging limit (the caller
-// checks), because aging changes the candidate rule globally.
+// headAgingDeadline is the earliest aging deadline over the class-queue
+// heads, walked from scratch (neverTry when aging is off or every queue
+// is empty): the value agingAt caches.
+func (c *Controller) headAgingDeadline() sim.Cycle {
+	at := neverTry
+	if c.cfg.AgingT == 0 {
+		return at
+	}
+	for qi := range c.queues {
+		if es := c.queues[qi].entries; len(es) > 0 && es[0].t.Enqueue+c.cfg.AgingT < at {
+			at = es[0].t.Enqueue + c.cfg.AgingT
+		}
+	}
+	return at
+}
+
+// collectBuckets is the incremental scan: it walks the occupied banks
+// (the nonempty mask) in ascending key order, so candidate order matches
+// the full rescan's tie-breaks. Clean buckets parked in the future
+// contribute their cached bound without any per-entry work; dirty or due
+// buckets are re-probed and their bound refreshed. It is only valid while
+// no queued transaction is over the aging limit (the caller checks),
+// because aging changes the candidate rule globally; the cached aging
+// deadline is then the head minimum, and bounds the dormancy window.
 func (c *Controller) collectBuckets(now sim.Cycle) {
 	c.scratch = c.scratch[:0]
 	c.agedPass = false
-	tryAt := neverTry
-	for k := range c.buckets {
-		b := &c.buckets[k]
-		if len(b.entries) == 0 {
-			continue
-		}
-		if !b.dirty && b.readyAt > now {
-			if b.readyAt < tryAt {
-				tryAt = b.readyAt
+	tryAt := c.agingAt
+	for wi, word := range c.nonempty {
+		for ; word != 0; word &= word - 1 {
+			b := &c.buckets[wi<<6|bits.TrailingZeros64(word)]
+			if !b.dirty && b.readyAt > now {
+				if b.readyAt < tryAt {
+					tryAt = b.readyAt
+				}
+				continue
 			}
-			continue
-		}
-		b.dirty = false
-		at := neverTry
-		for i := range b.entries {
-			e := &b.entries[i]
-			ok, rowHit, eAt, eOK := c.probeScan(e, c.allowPrecharge(e), now)
-			if ok {
-				c.scratch = append(c.scratch, candidate{e: *e, rowHit: rowHit}) //sara:alloc-ok scratch is reused across scans; capacity amortizes to queue depth
+			b.dirty = false
+			at := neverTry
+			for i := range b.entries {
+				e := &b.entries[i]
+				ok, rowHit, eAt, eOK := c.probeScan(e, c.allowPrecharge(e), now)
+				if ok {
+					c.scratch = append(c.scratch, candidate{e: *e, rowHit: rowHit}) //sara:alloc-ok scratch is reused across scans; capacity amortizes to queue depth
+				}
+				if eOK && eAt < at {
+					at = eAt
+				}
 			}
-			if eOK && eAt < at {
-				at = eAt
+			b.readyAt = at
+			if at < tryAt {
+				tryAt = at
 			}
-		}
-		b.readyAt = at
-		if at < tryAt {
-			tryAt = at
 		}
 	}
 	if len(c.scratch) == 0 {
@@ -613,32 +643,41 @@ func (c *Controller) collectFull(now sim.Cycle, hasAged bool) {
 		}
 	}
 	if len(c.scratch) == 0 {
-		c.parkEmptyScan(now, tryAt)
+		c.parkEmptyScan(now, min(tryAt, c.nextAgingCrossing(now)))
 	}
 }
 
-// parkEmptyScan finalizes a scan that produced no candidates: the next
-// aging-threshold crossing changes both the candidate set and the
-// open-page bypass, so it bounds the dormancy window alongside tryAt,
-// the timing-gate minimum the scan gathered. Entries are sorted by
-// Enqueue, so the first not-yet-aged entry of each class carries the
-// class minimum — the head itself whenever nothing is aged (the bucket
-// scan's case). Both scan flavors park through this one tail so their
-// dormancy windows cannot drift apart.
-func (c *Controller) parkEmptyScan(now, tryAt sim.Cycle) {
-	if c.cfg.AgingT > 0 {
-		for qi := range c.queues {
-			entries := c.queues[qi].entries
-			for i := range entries {
-				if deadline := entries[i].t.Enqueue + c.cfg.AgingT; deadline > now {
-					if deadline < tryAt {
-						tryAt = deadline
-					}
-					break
+// nextAgingCrossing reports the next aging-threshold crossing after now,
+// walked from scratch: it changes both the candidate set and the
+// open-page bypass, so it bounds the dormancy window alongside the
+// timing-gate minimum a scan gathers. Entries are sorted by Enqueue, so
+// the first not-yet-aged entry of each class carries the class minimum —
+// the head itself whenever nothing is aged, which is why the bucket scan
+// can read the cached head minimum (agingAt) instead.
+func (c *Controller) nextAgingCrossing(now sim.Cycle) sim.Cycle {
+	at := neverTry
+	if c.cfg.AgingT == 0 {
+		return at
+	}
+	for qi := range c.queues {
+		entries := c.queues[qi].entries
+		for i := range entries {
+			if deadline := entries[i].t.Enqueue + c.cfg.AgingT; deadline > now {
+				if deadline < at {
+					at = deadline
 				}
+				break
 			}
 		}
 	}
+	return at
+}
+
+// parkEmptyScan finalizes a scan that produced no candidates, parking the
+// controller at tryAt: the minimum over timing gates and the next aging
+// crossing the scan gathered. Both scan flavors park through this one
+// tail so their dormancy windows cannot drift apart.
+func (c *Controller) parkEmptyScan(now, tryAt sim.Cycle) {
 	if tryAt <= now {
 		// Defensive: the scan just failed at now, so nothing can
 		// issue before the next cycle.
@@ -822,7 +861,11 @@ func (c *Controller) issueCAS(e entry, now sim.Cycle) {
 	c.dram.Release(e.loc, e.t.ID)
 	q := &c.queues[e.t.Class]
 	wasFull := q.full()
+	wasHead := q.entries[0].t.ID == e.t.ID
 	q.remove(e.t.ID)
+	if wasHead {
+		c.agingAt = c.headAgingDeadline()
+	}
 	c.npending--
 	c.bucketRemove(c.bankKey(e.loc), e.t.ID)
 	if wasFull && c.OnRelease != nil {

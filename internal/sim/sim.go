@@ -14,17 +14,23 @@
 // quiescent and no event is due, instead of stepping cycle by cycle
 // through dead time.
 //
-// Wake scheduling is push-based: the kernel keeps an indexed min-heap of
-// per-idler cached wake cycles, components re-arm their heap entry through
-// the WakeHandle returned by Register whenever an external action moves
-// their next activity to an earlier cycle, and the fast-forward target is
-// read off the heap top instead of polling every idler's hint each
-// executed cycle.
+// Wake scheduling is push-based: the kernel caches each idler's wake
+// cycle, and components re-arm it through the WakeHandle returned by
+// Register whenever an external action moves their next activity to an
+// earlier cycle. Every idler is in exactly one of three places: the due
+// set (a bitset of ids that may act this cycle), a future heap (an
+// indexed min-heap of ids whose wake is later), or parked (no wake until
+// a re-arm). The fast-forward target is read off the heap top once no
+// due id is busy, instead of polling every idler's hint each executed
+// cycle.
 //
-// Executed cycles use the same heap as an active-ticker list: a component
-// is ticked iff its cached wake is at or before the current cycle, and its
-// entry is re-keyed to its exact next activity right after the tick, so
-// dormant components are not even called. This changes the Ticker contract
+// Executed cycles use the due set as an active-ticker list: a component
+// is ticked iff its cached wake is at or before the current cycle, and it
+// is re-keyed to its exact next activity right after the tick — staying
+// due when that is the next cycle, so a busy component costs no heap
+// operation — while dormant components are not even visited. An executed
+// cycle thus pays for the components that are due, not for how many are
+// registered. This changes the Ticker contract
 // from "ticked every executed cycle" to "ticked every cycle it may act",
 // which imposes two obligations on components:
 //
@@ -49,12 +55,16 @@
 // cycles' work in the same order.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+	"slices"
+)
 
 // Cycle is a point in simulated time, measured in DRAM command-clock cycles.
 type Cycle uint64
 
-// never marks an unarmed wake-heap entry: the idler reported it will not
+// never marks a parked idler's cached wake: the idler reported it will not
 // act again without external input, so only a Rearm can revive it.
 const never = ^Cycle(0)
 
@@ -94,10 +104,10 @@ type Settler interface {
 // strictly before the reported activity cycle.
 //
 // The contract is push-based. The kernel caches each idler's most recent
-// hint in an indexed wake heap and does NOT re-query every hint after
-// every executed cycle; it re-queries an idler only right after ticking
-// it (the active-list re-key) or when its cached entry reaches the heap
-// top during a fast-forward probe. The cached entry is therefore required
+// hint (see wakeSet) and does NOT re-query every hint after every
+// executed cycle; it re-queries an idler only right after ticking it (the
+// active-list re-key) or, during a fast-forward probe, when it is due or
+// its future-heap entry's wake has arrived. The cached entry is therefore required
 // to be a sound LOWER bound on the idler's true next activity at all
 // times — doubly important under the active list, where a too-late bound
 // does not merely skip a cycle but skips the component's Tick on cycles
@@ -118,21 +128,20 @@ type Settler interface {
 //
 //   - Lazy increase is always safe. When an idler's next activity moves
 //     LATER (it consumed its queue, its tokens drained), it does not need
-//     to tell the kernel: the stale too-early entry merely surfaces at
-//     the heap top, the kernel re-queries NextActivity once, and the
-//     entry sinks to its correct place. An idler that reports ok=false
-//     parks at the heap bottom but is never unregistered — a later Rearm
-//     revives it.
+//     to tell the kernel: the stale too-early wake merely comes due, the
+//     kernel re-queries NextActivity once, and the entry moves to its
+//     correct place. An idler that reports ok=false is parked but never
+//     unregistered — a later Rearm revives it.
 //
 // NextActivity itself must remain cheap and pure: it is the validation
-// query for the heap top, and (under SetForcePoll) the per-cycle linear
+// query for due ids, and (under SetForcePoll) the per-cycle linear
 // reference. Components that cache their wake cycle should answer from
 // the cache in O(1). The answer must be sound in ABSOLUTE time: a
 // component whose lazy integration lags `now` (a token bucket whose
 // funded cursor is behind, a buffer whose drain cursor is behind) must
 // anchor its bound at that cursor — e.g. cursor + steps - 1, clamped up
-// to now — never `now + steps` computed from stale state. The heap-top
-// probe RAISES entries from these answers; a bound even one cycle too
+// to now — never `now + steps` computed from stale state. The probe
+// RAISES entries from these answers; a bound even one cycle too
 // late starves the component permanently. This rule is enforced
 // statically: the wakebound analyzer in cmd/saravet flags NextActivity
 // and Wake implementations that add mutable receiver state to `now`,
@@ -155,7 +164,7 @@ type WakeBinder interface {
 }
 
 // WakeHandle re-arms one registered idler's cached wake cycle in the
-// kernel's wake heap. The zero value is inert (Rearm is a no-op), so
+// kernel's wake set. The zero value is inert (Rearm is a no-op), so
 // components can hold a handle unconditionally and be driven either by a
 // kernel or standalone in unit tests.
 type WakeHandle struct {
@@ -165,8 +174,8 @@ type WakeHandle struct {
 
 // Rearm lowers the idler's cached wake to at if the cached value is
 // later (decrease-key). Raising a cached wake is impossible by design:
-// increases are reconciled lazily when the entry reaches the heap top,
-// so a spurious early Rearm can cost an uneventful executed cycle but
+// increases are reconciled lazily when the stale wake comes due, so a
+// spurious early Rearm can cost an uneventful executed cycle but
 // can never lose a wake.
 //
 //sara:hotpath
@@ -251,67 +260,160 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
-// wakeEntry is one idler's slot in the wake heap; keys live inline so
-// sift compares and swaps stay within one contiguous array.
+// wakeEntry is one future-heap slot; keys live inline so sift compares
+// and swaps stay within one contiguous array.
 type wakeEntry struct {
 	at Cycle
 	id int32
 }
 
-type wakeHeap struct {
-	// entries is the heap itself; keys live inline so sift compares and
-	// swaps stay within one contiguous array instead of chasing three.
-	entries []wakeEntry
-	// at mirrors each id's cached wake and pos tracks each id's index in
-	// entries, making rearm an O(1) no-op test and fix an O(log n)
-	// position-tracked sift instead of a duplicate-entry push (which
-	// would allocate on the steady-state wake path).
-	at  []Cycle
+// wakeSet is the kernel's wake structure. Every registered idler is in
+// exactly one of three places:
+//
+//   - due: its bit is set in the due bitset — it may act this cycle, so
+//     the active list ticks it and the fast-forward probe queries it;
+//   - the future heap: its cached wake is later than the cycle it was
+//     filed at, and it waits in an indexed min-heap ordered by that wake;
+//   - parked: it reported it will never act without external input; it
+//     is in neither, and only a Rearm revives it.
+//
+// The at mirror holds every id's cached wake (never when parked) and is
+// the single place diagnostics read. An executed cycle therefore costs
+// one bit walk over the due ids plus a heap operation only for ids that
+// go to sleep or wake up.
+type wakeSet struct {
+	at []Cycle
+	// due holds one bit per id: bit id%64 of word id/64.
+	due []uint64
+	// heap is the future heap; its backing array is sized at registration
+	// (one slot per id) so pushes never grow it during a run.
+	heap []wakeEntry
+	// pos is each id's index in heap, -1 when the id is not in it.
 	pos []int32
 }
 
-// add registers a new idler with an immediately-due wake (cycle 0), so
-// the first fast-forward probe validates every hint once. The new entry
-// is sifted into place so the invariant holds even when entries were
-// re-keyed between adds.
-func (h *wakeHeap) add(id int) {
-	h.at = append(h.at, 0)
-	h.entries = append(h.entries, wakeEntry{at: 0, id: int32(id)})
-	h.pos = append(h.pos, int32(len(h.entries)-1))
-	h.siftUp(len(h.entries) - 1)
+// add registers a new idler as due with cached wake 0, so the first
+// executed cycle ticks it and re-keys it from its live hint.
+func (w *wakeSet) add(id int) {
+	w.at = append(w.at, 0)
+	w.pos = append(w.pos, -1)
+	if id%64 == 0 {
+		w.due = append(w.due, 0)
+	}
+	w.setDue(id)
+	w.heap = slices.Grow(w.heap, len(w.at)-len(w.heap))
 }
 
-// rearm lowers id's cached wake (decrease-key); at values at or above
-// the cached bound are dropped without touching the heap.
-func (h *wakeHeap) rearm(id int, at Cycle) {
-	if at >= h.at[id] {
+func (w *wakeSet) isDue(id int) bool { return w.due[id>>6]&(1<<(id&63)) != 0 }
+func (w *wakeSet) setDue(id int)     { w.due[id>>6] |= 1 << (id & 63) }
+func (w *wakeSet) clearDue(id int)   { w.due[id>>6] &^= 1 << (id & 63) }
+
+// rearm lowers id's cached wake to c (decrease-key); c at or above the
+// cached wake is dropped. A wake at or before now makes the id due; a
+// later one files it in the future heap. A due id stays due: its cached
+// wake is at most one cycle ahead, so any lower wake is due as well.
+func (w *wakeSet) rearm(id int, c, now Cycle) {
+	if c >= w.at[id] {
 		return
 	}
-	h.fix(id, at)
-}
-
-// fix sets id's cached wake and restores heap order in the appropriate
-// direction. The probe's validation pass uses it on an integrated heap.
-func (h *wakeHeap) fix(id int, c Cycle) {
-	old := h.at[id]
-	h.at[id] = c
-	h.entries[h.pos[id]].at = c
-	if c < old {
-		h.siftUp(int(h.pos[id]))
-	} else if c > old {
-		h.siftDown(int(h.pos[id]))
+	w.at[id] = c
+	switch {
+	case w.isDue(id):
+	case c <= now:
+		if w.pos[id] >= 0 {
+			w.remove(id)
+		}
+		w.setDue(id)
+	case w.pos[id] >= 0:
+		i := int(w.pos[id])
+		w.heap[i].at = c
+		w.siftUp(i)
+	default:
+		w.push(id, c)
 	}
 }
 
-// Rearm buffering note: an earlier revision deferred these sifts into a
-// dirty list integrated at probe time; property fuzzing showed one
-// siftUp per dirty id cannot restore the invariant under simultaneous
-// decreases (a displaced ancestor can land above an already-settled
-// dirty entry), so re-arms sift immediately and correctness stays local
-// to the two classic operations.
+// sleep files a due id whose next activity is later than the current
+// cycle: into the future heap at c, or parked when ok is false.
+func (w *wakeSet) sleep(id int, c Cycle, ok bool) {
+	w.clearDue(id)
+	if !ok {
+		w.at[id] = never
+		return
+	}
+	w.at[id] = c
+	w.push(id, c)
+}
 
-func (h *wakeHeap) siftUp(i int) {
-	q := h.entries
+// promote moves every heap entry whose wake has arrived by now into the
+// due set.
+func (w *wakeSet) promote(now Cycle) {
+	for len(w.heap) > 0 && w.heap[0].at <= now {
+		w.setDue(w.popMin())
+	}
+}
+
+// popMin removes the heap top and returns its id. It pops bottom-up: the
+// hole at the root descends along the smaller children to a leaf, and
+// the last entry — which almost always belongs near the bottom — sifts
+// up from there, saving a compare per level over a top-down sift.
+func (w *wakeSet) popMin() int {
+	q := w.heap
+	id := int(q[0].id)
+	w.pos[id] = -1
+	n := len(q) - 1
+	e := q[n]
+	q = q[:n]
+	w.heap = q
+	if n == 0 {
+		return id
+	}
+	i := 0
+	for {
+		s := 2*i + 1
+		if s >= n {
+			break
+		}
+		if r := s + 1; r < n && q[r].at < q[s].at {
+			s = r
+		}
+		q[i] = q[s]
+		w.pos[q[i].id] = int32(i)
+		i = s
+	}
+	q[i] = e
+	w.pos[e.id] = int32(i)
+	w.siftUp(i)
+	return id
+}
+
+// push files id, which must not be in the heap, at wake c.
+func (w *wakeSet) push(id int, c Cycle) {
+	i := len(w.heap)
+	w.heap = w.heap[:i+1]
+	w.heap[i] = wakeEntry{at: c, id: int32(id)}
+	w.pos[id] = int32(i)
+	w.siftUp(i)
+}
+
+// remove takes id, which must be in the heap, out of it.
+func (w *wakeSet) remove(id int) {
+	i := int(w.pos[id])
+	last := len(w.heap) - 1
+	w.pos[id] = -1
+	if i != last {
+		w.heap[i] = w.heap[last]
+		w.pos[w.heap[i].id] = int32(i)
+	}
+	w.heap = w.heap[:last]
+	if i != last {
+		w.siftDown(i)
+		w.siftUp(i)
+	}
+}
+
+func (w *wakeSet) siftUp(i int) {
+	q := w.heap
 	e := q[i]
 	moved := false
 	for i > 0 {
@@ -320,64 +422,62 @@ func (h *wakeHeap) siftUp(i int) {
 			break
 		}
 		q[i] = q[p]
-		h.pos[q[i].id] = int32(i)
+		w.pos[q[i].id] = int32(i)
 		i = p
 		moved = true
 	}
 	if moved {
 		q[i] = e
-		h.pos[e.id] = int32(i)
+		w.pos[e.id] = int32(i)
 	}
 }
 
-func (h *wakeHeap) siftDown(i int) {
-	q := h.entries
+func (w *wakeSet) siftDown(i int) {
+	q := w.heap
 	n := len(q)
 	e := q[i]
 	for {
-		l, r := 2*i+1, 2*i+2
-		s := i
-		at := e.at
-		if l < n && q[l].at < at {
-			s, at = l, q[l].at
+		s := 2*i + 1
+		if s >= n {
+			break
 		}
-		if r < n && q[r].at < at {
+		if r := s + 1; r < n && q[r].at < q[s].at {
 			s = r
 		}
-		if s == i {
+		if q[s].at >= e.at {
 			break
 		}
 		q[i] = q[s]
-		h.pos[q[i].id] = int32(i)
-		q[s] = e
-		h.pos[e.id] = int32(s)
+		w.pos[q[i].id] = int32(i)
 		i = s
 	}
+	q[i] = e
+	w.pos[e.id] = int32(i)
 }
 
-// forcePoll, when set, replaces the wake-heap fast-forward probe with the
+// forcePoll, when set, replaces the wake-set fast-forward probe with the
 // legacy linear sweep over every idler's NextActivity — the polling
-// reference the wake-heap differential tests replay against (tests only;
+// reference the wake-set differential tests replay against (tests only;
 // not for concurrent use, like noc.SetForceScan).
 var forcePoll bool
 
 // SetForcePoll forces the per-cycle linear NextActivity sweep (tests
-// only). The sweep and the heap compute the same fast-forward target as
+// only). The sweep and the wake set compute the same fast-forward target as
 // long as every external wake is re-armed, which is exactly the property
 // the differential suites check.
 func SetForcePoll(on bool) { forcePoll = on }
 
 // Kernel owns the clock, the ordered ticker list, the event queue and the
-// wake heap. The zero value is ready to use, with idle skipping enabled.
+// wake set. The zero value is ready to use, with idle skipping enabled.
 type Kernel struct {
 	now     Cycle
 	tickers []Ticker
 	// idlers holds the Idler view of every registered ticker, indexed by
-	// wake-heap id. If any ticker does not implement Idler the kernel
+	// wake-set id. If any ticker does not implement Idler the kernel
 	// cannot prove quiescence and opaque is set, which disables skipping
 	// entirely.
 	idlers []Idler
-	wakes  wakeHeap
+	wakes  wakeSet
 	// settlers are the registered tickers that batch dormant-cycle
 	// bookkeeping; Run calls SettleRun on each when it reaches its
 	// horizon so end-of-run statistics are exact even when the active
@@ -389,24 +489,6 @@ type Kernel struct {
 	seq      uint64
 	started  bool
 	skipped  uint64
-	// hot remembers the idlers that most recently reported immediate
-	// activity (hot[0] newest); querying them first short-circuits the
-	// fast-forward probe on busy stretches, where a small set of
-	// components (controllers, routers) trade being the active one cycle
-	// to cycle, without touching the wake heap at all. A busy live hint
-	// makes the probe's answer "now" regardless of any cached bound, so
-	// the shortcut cannot change a skip decision.
-	hot [2]int
-	// busyStreak counts consecutive fast-forward probes that found
-	// immediate activity, and busyLatch is the number of upcoming cycles
-	// to execute without probing at all. Under sustained load (the
-	// saturated loaded phase) every probe answers "busy now", so the
-	// kernel latches busy and amortizes the query cost over the streak.
-	// Skipping a probe is observationally identical to probing — the
-	// cycle executes either way; only a skip opportunity is deferred, by
-	// at most busyLatchMax cycles after the load ends.
-	busyStreak uint8
-	busyLatch  uint8
 	// wd, when non-nil, activates the run-loop guardrails: RunChecked
 	// routes through the guarded loop in guard.go instead of Run's hot
 	// loop, so a nil watchdog costs nothing on the steady-state path.
@@ -419,11 +501,6 @@ type Kernel struct {
 	lastProgress uint64
 	progressAt   uint64
 }
-
-// busyLatchMax bounds the busy latch: at most this many executed cycles
-// between fast-forward probes, so an idle transition is never detected
-// more than busyLatchMax cycles late.
-const busyLatchMax = 8
 
 // Now reports the current cycle.
 func (k *Kernel) Now() Cycle { return k.now }
@@ -445,7 +522,7 @@ func (k *Kernel) IdleSkipActive() bool { return !k.noSkip && !k.opaque }
 // Register appends t to the per-cycle tick list and returns t's wake
 // handle. Components are ticked in registration order, which the SoC
 // assembly uses to realize the pipeline order sources -> DMAs -> NoC ->
-// MC -> DRAM -> responses -> adapters; the wake heap orders itself by
+// MC -> DRAM -> responses -> adapters; the future heap orders itself by
 // cached wake cycle, so registration order never affects fast-forward
 // targets. If t implements WakeBinder the handle is also pushed into the
 // component here, so assemblies get push wiring for free. Tickers that do
@@ -475,7 +552,7 @@ func (k *Kernel) Register(t Ticker) WakeHandle {
 }
 
 // Rearm lowers idler id's cached wake cycle to at (a decrease-key; see
-// wakeHeap.rearm); a cached wake at or before at is left untouched.
+// wakeSet.rearm); a cached wake at or before at is left untouched.
 // Components normally call this through their WakeHandle. An out-of-range
 // id panics with an *InvariantError: a dropped re-arm is a silently
 // missed wake — the simulation would diverge, not fail — so bad wiring
@@ -486,7 +563,7 @@ func (k *Kernel) Rearm(id int, at Cycle) {
 			"sim: Rearm of unregistered idler id %d (%d idlers registered)",
 			id, len(k.wakes.at))))
 	}
-	k.wakes.rearm(id, at)
+	k.wakes.rearm(id, at, k.now)
 }
 
 // At schedules fn to run at cycle at, before that cycle's tickers. If at is
@@ -551,34 +628,40 @@ func (k *Kernel) Step() {
 	k.now++
 }
 
-// stepActive is Step's tick loop in active-list mode: walk the tickers in
-// registration order, tick only those whose cached wake is due, and
-// re-key each ticked entry to its exact next activity. Reading the wake
-// bound live (not a snapshot) makes same-cycle forward edges work — a
-// source enqueueing into a dormant engine re-arms the engine's entry, and
-// the engine, registered later, sees the lowered bound when the walk
-// reaches it. Backward same-cycle edges need no tick: a stepped run's
-// earlier-registered component had already ticked when the edge fired, so
-// both modes first act on it the next cycle (every backward edge re-arms
-// at now+1 or via a pre-tick event). Because every ticked entry is
-// re-keyed from a live NextActivity query, the heap bounds are exact
-// after each active step, and the fast-forward probe computes the same
-// skip targets as the force-poll linear sweep.
+// stepActive is Step's tick loop in active-list mode. It first moves
+// future-heap entries whose wake has arrived into the due set, then ticks
+// the due ids in ascending id order — registration order — and re-keys
+// each from its exact next activity: a wake at or before the next cycle
+// stays due with no heap operation, a later one goes into the heap, and
+// ok=false parks the id. The current bitset word is re-read after every
+// tick, so same-cycle forward edges work: a source enqueueing into a
+// dormant engine re-arms the engine at now, which sets its due bit, and
+// the walk reaches it later this cycle. Backward same-cycle edges need no
+// tick: a stepped run's earlier-registered component had already ticked
+// when the edge fired, so both modes first act on it the next cycle (the
+// re-arm leaves the id due for then). Because every ticked id is re-keyed
+// from a live NextActivity query, the cached wakes are exact after each
+// active step, and the fast-forward probe computes the same skip targets
+// as the force-poll linear sweep.
 //
 //sara:hotpath
 func (k *Kernel) stepActive() {
 	now := k.now
-	at := k.wakes.at
-	for i, t := range k.tickers {
-		if at[i] > now {
-			continue
+	w := &k.wakes
+	w.promote(now)
+	for wi := range w.due {
+		for word := w.due[wi]; word != 0; {
+			b := bits.TrailingZeros64(word)
+			id := wi<<6 | b
+			k.tickers[id].Tick(now)
+			next, ok := k.idlers[id].NextActivity(now + 1)
+			if ok && next <= now+1 {
+				w.at[id] = next
+			} else {
+				w.sleep(id, next, ok)
+			}
+			word = w.due[wi] & (^uint64(1) << b)
 		}
-		t.Tick(now)
-		next, ok := k.idlers[i].NextActivity(now + 1)
-		if !ok {
-			next = never
-		}
-		k.wakes.fix(i, next)
 	}
 }
 
@@ -620,7 +703,7 @@ func (k *Kernel) settleRun() {
 // NextWake reports the cycle Run would fast-forward to from the current
 // clock — the next due event or the earliest ticker activity — capped at
 // horizon. It does not move the clock and always uses the linear poll
-// sweep, making it an audit of the live hints (and of the wake heap's
+// sweep, making it an audit of the live hints (and of the wake set's
 // cached bounds, which may never be later); the equivalence tests use it
 // to check Idler hints against actual behavior.
 func (k *Kernel) NextWake(horizon Cycle) Cycle {
@@ -657,57 +740,64 @@ func (k *Kernel) nextWakePoll(horizon Cycle) Cycle {
 	return target
 }
 
-// nextWakeHeap computes the fast-forward target from the wake heap: the
-// next due event or the heap top, capped at horizon. Only entries whose
-// cached wake is at or before the current cycle are re-queried — they
-// are either genuinely busy (probe answers "now") or consumed wakes,
-// which the query raises to their exact next cycle or parks at never.
-// A FUTURE cached wake is trusted without a query: every cached wake is
-// a sound lower bound, so skipping to the heap minimum can never skip
-// past real activity — at worst a stale-early bound wakes the kernel
-// for one uneventful executed cycle, whose probe then raises it. That
-// trade (a rare extra cycle instead of validating every future bound
-// per probe) is what keeps the probe O(1) once the due entries are
-// resolved; under SetForcePoll the linear reference instead computes
-// the exact swept minimum, so the poll reference may skip slightly more
-// while observable behavior stays bit-identical.
+// nextWakeHeap computes the fast-forward target from the wake set: the
+// next due event, or the earliest cached wake, capped at horizon. Only
+// due ids and heap entries whose wake has arrived are re-queried; the
+// first one that is busy now answers "now" and stays due. The others
+// sleep at their exact next activity or park. A FUTURE cached wake is
+// trusted without a query: every cached wake is a sound lower bound, so
+// skipping to the heap minimum can never skip past real activity — at
+// worst a stale-early bound wakes the kernel for one uneventful executed
+// cycle, whose probe then raises it. That trade (a rare extra cycle
+// instead of validating every future bound per probe) keeps the probe
+// O(1) once nothing is due; under SetForcePoll the linear reference
+// instead computes the exact swept minimum, so the poll reference may
+// skip slightly more while observable behavior stays bit-identical.
 func (k *Kernel) nextWakeHeap(horizon Cycle) Cycle {
+	now := k.now
 	target := horizon
 	if len(k.events) > 0 {
 		at := k.events[0].at
-		if at <= k.now {
-			return k.now
+		if at <= now {
+			return now
 		}
 		if at < target {
 			target = at
 		}
 	}
-	h := &k.wakes
-	for len(h.entries) > 0 {
-		top := h.entries[0]
-		if top.at > k.now {
-			// No busy suspicion left: the heap minimum bounds every
-			// idler's next activity from below.
+	w := &k.wakes
+	for wi := range w.due {
+		for word := w.due[wi]; word != 0; word &= word - 1 {
+			id := wi<<6 | bits.TrailingZeros64(word)
+			next, ok := k.idlers[id].NextActivity(now)
+			if ok && next <= now {
+				return now
+			}
+			w.sleep(id, next, ok)
+		}
+	}
+	for len(w.heap) > 0 {
+		top := w.heap[0]
+		if top.at > now {
 			if top.at < target {
 				target = top.at
 			}
 			break
 		}
 		id := int(top.id)
-		at, ok := k.idlers[id].NextActivity(k.now)
-		if !ok {
-			h.fix(id, never)
-			continue
+		next, ok := k.idlers[id].NextActivity(now)
+		switch {
+		case ok && next <= now:
+			w.setDue(w.popMin())
+			return now
+		case ok:
+			w.at[id] = next
+			w.heap[0].at = next
+			w.siftDown(0)
+		default:
+			w.popMin()
+			w.at[id] = never
 		}
-		if at <= k.now {
-			// Immediately busy. The stale-low key is left in place — it
-			// is still a sound lower bound — and the idler joins the hot
-			// set, so sustained load keeps answering from a few live
-			// hints without touching the heap at all.
-			k.noteHot(id)
-			return k.now
-		}
-		h.fix(id, at)
 	}
 	return target
 }
@@ -721,29 +811,6 @@ func (k *Kernel) nextWakeHeap(horizon Cycle) Cycle {
 // modes execute — and count as skipped — the same cycles). It returns
 // without moving the clock if anything is due now.
 func (k *Kernel) fastForward(horizon Cycle) {
-	if k.busyLatch > 0 {
-		// Provably-safe probe skip: recent back-to-back activity latched
-		// busy, so execute this cycle without querying anyone.
-		k.busyLatch--
-		return
-	}
-	if len(k.events) > 0 && k.events[0].at <= k.now {
-		// An event is due this cycle: provably busy, no idler query needed.
-		k.noteBusy()
-		return
-	}
-	for i, h := range k.hot {
-		if h >= len(k.idlers) || (i > 0 && h == k.hot[0]) {
-			continue
-		}
-		if next, ok := k.idlers[h].NextActivity(k.now); ok && next <= k.now {
-			if i > 0 {
-				k.noteHot(h)
-			}
-			k.noteBusy()
-			return
-		}
-	}
 	var target Cycle
 	if forcePoll {
 		target = k.nextWakePoll(horizon - 1)
@@ -751,41 +818,8 @@ func (k *Kernel) fastForward(horizon Cycle) {
 		target = k.nextWakeHeap(horizon - 1)
 	}
 	if target > k.now {
-		k.busyStreak = 0
 		k.skipped += uint64(target - k.now)
 		k.now = target
-		return
-	}
-	k.noteBusy()
-}
-
-// noteHot promotes id to the front of the hot set (most-recently busy
-// first), shifting the newer entries down and evicting the oldest — or
-// rotating id forward if it is already present.
-func (k *Kernel) noteHot(id int) {
-	if k.hot[0] == id {
-		return
-	}
-	j := len(k.hot) - 1
-	for i := 1; i < j; i++ {
-		if k.hot[i] == id {
-			j = i
-			break
-		}
-	}
-	copy(k.hot[1:j+1], k.hot[:j])
-	k.hot[0] = id
-}
-
-// noteBusy records a probe that found immediate activity and arms the
-// busy latch once the streak shows sustained load: after n consecutive
-// busy probes the next n-1 (capped) cycles execute probe-free.
-func (k *Kernel) noteBusy() {
-	if k.busyStreak <= busyLatchMax {
-		k.busyStreak++
-	}
-	if k.busyStreak > 1 {
-		k.busyLatch = k.busyStreak - 1
 	}
 }
 
