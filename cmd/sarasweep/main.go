@@ -55,8 +55,7 @@ type cliOptions struct {
 // the labeled reports -analysis-out writes. The RunCells-backed sweeps
 // (seeds, cell) get their analyzers from exp.Options and only deposit
 // reports here; the direct-build ablation sweeps attach per system via
-// attach, which also closes the previous system's analyzer first — the
-// trace edges are process-global, one live analyzer at a time.
+// attach, which first harvests the previous system's report.
 type analysisSink struct {
 	enabled bool
 	window  uint64
@@ -89,12 +88,11 @@ func (s *analysisSink) attach(sys *core.System) {
 	s.az = sara.AttachAnalyzer(sys, aopt)
 }
 
-// close detaches the live analyzer, harvesting its report.
+// close harvests the live analyzer's report and finishes its monitor run.
 func (s *analysisSink) close() {
 	if s == nil || s.az == nil {
 		return
 	}
-	s.az.Detach()
 	if s.enabled {
 		s.reports[s.label] = s.az.Report()
 	}
@@ -166,7 +164,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	saturated := fs.Bool("saturated", false, "cell sweep: bandwidth-bound saturated variant")
 	warmup := fs.Int("warmup", 0, "cell sweep: warmup frames before measurement")
 	measure := fs.Int("measure", 1, "cell sweep: measured frames")
-	analyze := fs.Bool("analyze", false, "attach the stall-attribution analyzers (serializes workers)")
+	analyze := fs.Bool("analyze", false, "attach the stall-attribution analyzers")
 	analysisWindow := fs.Uint64("analysis-window", 0, "analyzer aggregation window in cycles (0 = 4 NPI sampling periods)")
 	analysisOut := fs.String("analysis-out", "", "with -analyze: write the windowed reports here (.csv = CSV sections, else JSON)")
 	monitorAddr := fs.String("monitor", "", "serve the live HTTP sweep monitor on this address (e.g. :8080)")

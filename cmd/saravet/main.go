@@ -1,6 +1,6 @@
 // Command saravet runs the repo's static-analysis suite (internal/lint):
-// hotpathalloc, wakebound, hookdiscipline, determinism and the //sara:
-// directive validator.
+// hotpathalloc, wakebound, determinism and the //sara: directive
+// validator.
 //
 // Three modes:
 //
@@ -46,8 +46,8 @@ const usage = `usage: saravet [-escape] [packages]
        go vet -vettool=/path/to/saravet [packages]
 
 Runs the sara static-analysis suite: hotpathalloc, wakebound,
-hookdiscipline, determinism, saradirective. Packages default to ./...
-relative to the current directory.
+determinism, saradirective. Packages default to ./... relative to the
+current directory.
 
   -escape   cross-check //sara:hotpath functions against the compiler's
             escape analysis (go build -gcflags=-m) instead of running the

@@ -5,13 +5,13 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"sara"
 	"sara/internal/dma"
 	"sara/internal/dram"
 	"sara/internal/memctrl"
-	"sara/internal/noc"
 	"sara/internal/sim"
 )
 
@@ -178,27 +178,20 @@ type diffResult struct {
 // with every dormancy cache — router grant windows, controller buckets,
 // DMA injection wakes — bypassed), the event-driven idle-skipping run
 // (skip=true), or the idle-skipping run with the kernel's wake heap
-// replaced by the sim.SetForcePoll linear sweep (skip and poll true).
+// replaced by the Kernel.SetForcePoll linear sweep (skip and poll true).
 func captureRun(cfg sara.Config, skip, poll bool, horizon sara.Cycle) diffResult {
 	var res diffResult
-	noc.SetForceScan(!skip)
-	memctrl.SetForceScan(!skip)
-	dma.SetForceScan(!skip)
-	sim.SetForcePoll(skip && poll)
-	defer memctrl.SetForceScan(false)
-	defer dma.SetForceScan(false)
-	defer sim.SetForcePoll(false)
-	noc.SetDebugGrant(func(name string, now sim.Cycle, port, out int, id uint64) {
+	sys := sara.Build(cfg)
+	sys.SetForceScan(!skip)
+	sys.Kernel().SetForcePoll(skip && poll)
+	p := sys.Probes()
+	p.Grant = append(p.Grant, func(name string, now sim.Cycle, port, out int, id uint64) {
 		res.grants = append(res.grants, tracedGrant{name, now, port, out, id})
 	})
-	noc.SetDebugCredit(func(name string, now sim.Cycle, port int, wasFull bool) {
+	p.Credit = append(p.Credit, func(name string, now sim.Cycle, port int, wasFull bool) {
 		res.credits = append(res.credits, tracedCredit{name, now, port, wasFull})
 	})
-	defer noc.SetForceScan(false)
-	defer noc.SetDebugGrant(nil)
-	defer noc.SetDebugCredit(nil)
 
-	sys := sara.Build(cfg)
 	sys.Kernel().SetIdleSkip(skip)
 	sys.Run(horizon)
 
@@ -295,7 +288,29 @@ func TestRandomizedSkipVsStepDifferential(t *testing.T) {
 		configs = 10
 	}
 	configs *= fuzzScale()
-	var totalGrants, totalSkipped, refreshRuns, scaledRuns, dormancyRuns uint64
+	// The per-config subtests run in parallel (every run owns its System,
+	// probes and reference modes); the pool-level checks run once they
+	// have all finished.
+	var (
+		mu                                    sync.Mutex
+		totalGrants, totalSkipped             uint64
+		refreshRuns, scaledRuns, dormancyRuns uint64
+	)
+	t.Cleanup(func() {
+		if totalGrants == 0 || totalSkipped == 0 {
+			t.Errorf("vacuous fuzz pool: %d grants, %d skipped cycles across %d configs",
+				totalGrants, totalSkipped, configs)
+		}
+		if !testing.Short() && refreshRuns == 0 {
+			t.Error("fuzz pool exercised no refresh-enabled configs")
+		}
+		if !testing.Short() && scaledRuns == 0 {
+			t.Error("fuzz pool exercised no scaled-SoC configs")
+		}
+		if !testing.Short() && dormancyRuns == 0 {
+			t.Error("fuzz pool exercised no adversarial dormancy configs")
+		}
+	})
 	for i := 0; i < configs; i++ {
 		seed := sim.NewRand(baseSeed).Fork(uint64(i)).Uint64()
 		cfg, desc := fuzzConfig(seed)
@@ -303,6 +318,7 @@ func TestRandomizedSkipVsStepDifferential(t *testing.T) {
 			dormancyRuns++
 		}
 		t.Run(fmt.Sprintf("cfg%02d_%s", i, desc), func(t *testing.T) {
+			t.Parallel()
 			reproOnFailure(t, fmt.Sprintf("TestRandomizedSkipVsStepDifferential/cfg%02d_.*", i))
 			ref := captureRun(cfg, false, false, horizon)
 			fast := captureRun(cfg, true, false, horizon)
@@ -320,6 +336,8 @@ func TestRandomizedSkipVsStepDifferential(t *testing.T) {
 				t.Fatalf("config seed %#x: wake heap skipped %d cycles, poll reference only %d",
 					seed, fast.skipped, polled.skipped)
 			}
+			mu.Lock()
+			defer mu.Unlock()
 			totalGrants += uint64(len(fast.grants))
 			totalSkipped += fast.skipped
 			if cfg.DRAM.Refresh.Enabled {
@@ -329,18 +347,5 @@ func TestRandomizedSkipVsStepDifferential(t *testing.T) {
 				scaledRuns++
 			}
 		})
-	}
-	if totalGrants == 0 || totalSkipped == 0 {
-		t.Fatalf("vacuous fuzz pool: %d grants, %d skipped cycles across %d configs",
-			totalGrants, totalSkipped, configs)
-	}
-	if !testing.Short() && refreshRuns == 0 {
-		t.Fatal("fuzz pool exercised no refresh-enabled configs")
-	}
-	if !testing.Short() && scaledRuns == 0 {
-		t.Fatal("fuzz pool exercised no scaled-SoC configs")
-	}
-	if !testing.Short() && dormancyRuns == 0 {
-		t.Fatal("fuzz pool exercised no adversarial dormancy configs")
 	}
 }

@@ -6,8 +6,6 @@ import (
 	"sara/internal/analysis"
 	"sara/internal/config"
 	"sara/internal/core"
-	"sara/internal/dma"
-	"sara/internal/memctrl"
 	"sara/internal/noc"
 	"sara/internal/sim"
 	"sara/internal/txn"
@@ -35,10 +33,10 @@ func (s *toggleSink) Accept(t *txn.Transaction, now sim.Cycle) {
 func TestEdgeTapWindowedGolden(t *testing.T) {
 	sink := &toggleSink{}
 	p := noc.Params{PortDepth: 2, HopLatency: 0, RespLatency: 12, Arb: noc.ArbFCFS}
-	r := noc.NewRouter("g", p, 1, []noc.Sink{sink}, nil)
+	probes := &sim.Probes{}
+	r := noc.NewRouter("g", p, 1, []noc.Sink{sink}, nil, probes)
 
-	tap := analysis.TapRouters("g")
-	defer tap.Close()
+	tap := analysis.TapRouters(probes, "g")
 	c := tap.Counts("g")
 	if c == nil {
 		t.Fatal("tapped router has no counter cell")
@@ -132,32 +130,28 @@ type runOutcome struct {
 	forwarded map[string]uint64
 }
 
-// tracedRun runs one frame of case A with the legacy SetDebugX observers
-// installed, optionally with an edge-layer analyzer attached alongside
-// them through the multiplexing registries.
+// tracedRun runs one frame of case A with test trace observers on the
+// system's probes, optionally with an edge-layer analyzer subscribed
+// alongside them.
 func tracedRun(analyze bool) runOutcome {
 	lg := &traceLog{}
-	noc.SetDebugGrant(func(name string, now sim.Cycle, port, out int, id uint64) {
+	sys := core.Build(fastCfg())
+	p := sys.Probes()
+	p.Grant = append(p.Grant, func(name string, now sim.Cycle, port, out int, id uint64) {
 		lg.grants = append(lg.grants, grantEv{name, now, port, out, id})
 	})
-	defer noc.SetDebugGrant(nil)
-	noc.SetDebugCredit(func(name string, now sim.Cycle, port int, wasFull bool) {
+	p.Credit = append(p.Credit, func(name string, now sim.Cycle, port int, wasFull bool) {
 		lg.credits = append(lg.credits, creditEv{name, now, port, wasFull})
 	})
-	defer noc.SetDebugCredit(nil)
-	dma.SetDebugInject(func(now sim.Cycle, source int, id uint64, addr uint64) {
+	p.Inject = append(p.Inject, func(now sim.Cycle, source int, id uint64, addr uint64) {
 		lg.injects = append(lg.injects, injectEv{now, source, id, addr})
 	})
-	defer dma.SetDebugInject(nil)
-	memctrl.SetDebugTrace(func(ch int, now sim.Cycle, id uint64, kind byte) {
+	p.Command = append(p.Command, func(ch int, now sim.Cycle, id uint64, kind byte) {
 		lg.cmds = append(lg.cmds, cmdEv{ch, now, id, kind})
 	})
-	defer memctrl.SetDebugTrace(nil)
 
-	sys := core.Build(fastCfg())
 	if analyze {
-		az := analysis.Attach(sys, analysis.Options{Window: 2048, Edges: true})
-		defer az.Detach()
+		analysis.Attach(sys, analysis.Options{Window: 2048, Edges: true})
 	}
 	sys.RunFrames(1)
 
@@ -179,9 +173,9 @@ func tracedRun(analyze bool) runOutcome {
 
 // TestAnalyzerDoesNotChangeBehavior is the enabled-vs-disabled
 // differential: the same configuration runs once bare and once with an
-// edge-layer analyzer attached, with the legacy trace observers installed
-// in both runs (so it also proves a test observer and the analyzer
-// coexist on the same edges). Every behavioral event stream and every
+// edge-layer analyzer attached, with test trace observers installed in
+// both runs (so it also proves a test observer and the analyzer coexist
+// on the same edges). Every behavioral event stream and every
 // aggregate must be bit-identical.
 func TestAnalyzerDoesNotChangeBehavior(t *testing.T) {
 	bare := tracedRun(false)
@@ -244,26 +238,24 @@ func TestAnalyzerDoesNotChangeBehavior(t *testing.T) {
 }
 
 // TestAnalyzerReportAgainstLegacyTrace runs one analyzed frame and checks
-// the report's per-router edge totals and series shape against the legacy
+// the report's per-router edge totals and series shape against raw trace
 // observers running alongside.
 func TestAnalyzerReportAgainstLegacyTrace(t *testing.T) {
 	grants := map[string]uint64{}
 	fullPops := map[string]uint64{}
-	noc.SetDebugGrant(func(name string, now sim.Cycle, port, out int, id uint64) {
+	sys := core.Build(fastCfg())
+	p := sys.Probes()
+	p.Grant = append(p.Grant, func(name string, now sim.Cycle, port, out int, id uint64) {
 		grants[name]++
 	})
-	defer noc.SetDebugGrant(nil)
-	noc.SetDebugCredit(func(name string, now sim.Cycle, port int, wasFull bool) {
+	p.Credit = append(p.Credit, func(name string, now sim.Cycle, port int, wasFull bool) {
 		if wasFull {
 			fullPops[name]++
 		}
 	})
-	defer noc.SetDebugCredit(nil)
 
-	sys := core.Build(fastCfg())
 	az := analysis.Attach(sys, analysis.Options{Window: 2048, Edges: true})
 	sys.RunFrames(1)
-	az.Detach()
 	rep := az.Report()
 
 	if rep.Samples == 0 || !rep.Edges {

@@ -10,15 +10,14 @@
 //
 // Two layers feed the windows. The sampling layer reads per-system
 // counters (router stall/forward totals, engine stats, DRAM channel
-// stats, meter NPIs) and is safe to run on many systems in parallel. The
-// edge layer additionally subscribes to the trace-hook edges
-// (noc grant/credit/stall, dma inject, memctrl command) through the
-// multiplexing hook registries, which are process-global — enable it
-// (Options.Edges) only when a single simulation runs at a time. Both
-// layers are strictly observational: attaching an analyzer must not
-// change simulated behavior, and with no analyzer attached the hook
-// pointers stay nil so the simulation hot paths keep their zero-cost
-// disabled-path guarantee.
+// stats, meter NPIs). The edge layer (Options.Edges) additionally
+// subscribes to the system's trace edges (sim.Probes: noc
+// grant/credit/stall, dma inject, memctrl command). Both layers are
+// per-system, so analyzers on concurrently running systems never see
+// each other's events, and both are strictly observational: attaching an
+// analyzer must not change simulated behavior, and with no analyzer
+// attached the probe lists stay empty so the simulation hot paths keep
+// their zero-cost disabled-path guarantee.
 package analysis
 
 import (
@@ -28,7 +27,6 @@ import (
 	"sara/internal/core"
 	"sara/internal/dma"
 	"sara/internal/dram"
-	"sara/internal/memctrl"
 	"sara/internal/meter"
 	"sara/internal/noc"
 	"sara/internal/sim"
@@ -40,10 +38,8 @@ type Options struct {
 	// Window is the aggregation period in cycles; 0 picks four NPI
 	// sampling periods (4 × Config.SampleEvery).
 	Window sim.Cycle
-	// Edges subscribes the analyzer to the process-global trace-hook
-	// edges for per-event grant/credit/backpressure/command counts.
-	// Leave it off when several simulations run concurrently in one
-	// process — the edges cannot tell them apart.
+	// Edges subscribes the analyzer to the system's trace edges for
+	// per-event grant/credit/backpressure/command counts.
 	Edges bool
 	// Publish, when non-nil, receives a live Snapshot at every window
 	// boundary (the HTTP monitor's feed).
@@ -56,8 +52,6 @@ type Analyzer struct {
 	window  sim.Cycle
 	edges   bool
 	publish func(Snapshot)
-	detach  []func()
-	closed  bool
 
 	routers   []*routerProbe
 	byName    map[string]*routerProbe
@@ -113,8 +107,8 @@ type channelProbe struct {
 
 	// edge-layer window counters (Edges only)
 	act, pre, cas, ref uint64
-	// mcEC counts the controller queue releases TraceCredit reports under
-	// this channel's "mc<ch>" name (Edges only, nil otherwise)
+	// mcEC counts the controller queue releases reported on the credit
+	// edge under this channel's "mc<ch>" name (Edges only, nil otherwise)
 	mcEC *EdgeCounts
 
 	blackout *stats.Series
@@ -123,8 +117,8 @@ type channelProbe struct {
 
 // Attach builds an Analyzer over sys and schedules its windowed sampler
 // on the system's kernel. Attach before running; the sampler fires every
-// opt.Window cycles from the current clock. Call Detach when done so the
-// process-global edges are released for the next simulation.
+// opt.Window cycles from the current clock. The analyzer lives as long
+// as sys: its edge subscriptions are on sys's probes.
 func Attach(sys *core.System, opt Options) *Analyzer {
 	w := opt.Window
 	if w == 0 {
@@ -201,11 +195,10 @@ func Attach(sys *core.System, opt Options) *Analyzer {
 	return a
 }
 
-// subscribe installs the edge-layer hook subscriptions through the
-// multiplexing registries, so any legacy SetDebugX observer a test
-// installed keeps seeing the same events. The NoC edges go through an
-// EdgeTap (one cell per router plus one per controller queue name); the
-// dma and memctrl edges index probes directly.
+// subscribe installs the edge-layer subscriptions on the system's
+// probes, alongside any observer a test installed. The NoC edges go
+// through an EdgeTap (one cell per router plus one per controller queue
+// name); the dma and memctrl edges index probes directly.
 func (a *Analyzer) subscribe() {
 	mcNames := make([]string, 0, len(a.mcByName))
 	for n := range a.mcByName {
@@ -217,46 +210,35 @@ func (a *Analyzer) subscribe() {
 		names = append(names, p.name)
 	}
 	names = append(names, mcNames...)
-	tap := TapRouters(names...)
+	probes := a.sys.Probes()
+	tap := TapRouters(probes, names...)
 	for _, p := range a.routers {
 		p.ec = tap.Counts(p.name)
 	}
 	for _, n := range mcNames {
 		a.mcByName[n].mcEC = tap.Counts(n)
 	}
-	a.detach = append(a.detach, tap.Close,
-		dma.HookInject(func(now sim.Cycle, source int, id uint64, addr uint64) {
-			if source >= 0 && source < len(a.engines) {
-				a.engines[source].injects++
-			}
-		}),
-		memctrl.HookTrace(func(ch int, now sim.Cycle, id uint64, kind byte) {
-			if ch < 0 || ch >= len(a.channels) {
-				return
-			}
-			c := a.channels[ch]
-			switch kind {
-			case 'A':
-				c.act++
-			case 'P':
-				c.pre++
-			case 'C':
-				c.cas++
-			case 'R':
-				c.ref++
-			}
-		}),
-	)
-}
-
-// Detach releases the analyzer's edge subscriptions. The windowed sampler
-// event keeps firing but becomes a no-op; detach once the run is over.
-func (a *Analyzer) Detach() {
-	for _, d := range a.detach {
-		d()
-	}
-	a.detach = nil
-	a.closed = true
+	probes.Inject = append(probes.Inject, func(now sim.Cycle, source int, id uint64, addr uint64) {
+		if source >= 0 && source < len(a.engines) {
+			a.engines[source].injects++
+		}
+	})
+	probes.Command = append(probes.Command, func(ch int, now sim.Cycle, id uint64, kind byte) {
+		if ch < 0 || ch >= len(a.channels) {
+			return
+		}
+		c := a.channels[ch]
+		switch kind {
+		case 'A':
+			c.act++
+		case 'P':
+			c.pre++
+		case 'C':
+			c.cas++
+		case 'R':
+			c.ref++
+		}
+	})
 }
 
 // Window reports the aggregation period.
@@ -270,7 +252,7 @@ func (a *Analyzer) Samples() int { return a.samples }
 // counters, and feed the publisher. It runs as a kernel event, before any
 // ticker of cycle now.
 func (a *Analyzer) sample(now sim.Cycle) {
-	if a.closed || now == a.lastCycle {
+	if now == a.lastCycle {
 		return
 	}
 	a.sys.Kernel().Settle()

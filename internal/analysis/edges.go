@@ -1,9 +1,6 @@
 package analysis
 
-import (
-	"sara/internal/noc"
-	"sara/internal/sim"
-)
+import "sara/internal/sim"
 
 // EdgeCounts accumulates one named endpoint's trace-edge events since the
 // last Reset: switch-allocation grants, credit-side pops, pops that found
@@ -17,44 +14,39 @@ type EdgeCounts struct {
 	Stalls   uint64
 }
 
-// EdgeTap subscribes to the NoC grant/credit/stall edges through the
-// multiplexing hook registries and counts events per endpoint name. It is
-// the edge layer the Analyzer's per-router backpressure numbers come
-// from, exported so tests can drive it against a bare router with
-// hand-computable traffic. The edges are process-global: one live tap per
-// process, detached via Close.
+// EdgeTap subscribes to one system's NoC grant/credit/stall edges and
+// counts events per endpoint name. It is the edge layer the Analyzer's
+// per-router backpressure numbers come from, exported so tests can drive
+// it against a bare router with hand-computable traffic.
 type EdgeTap struct {
 	byName map[string]*EdgeCounts
-	detach []func()
 }
 
-// TapRouters subscribes a tap counting events for the given endpoint
+// TapRouters subscribes a tap to p counting events for the given endpoint
 // names; events for other names are ignored.
-func TapRouters(names ...string) *EdgeTap {
+func TapRouters(p *sim.Probes, names ...string) *EdgeTap {
 	t := &EdgeTap{byName: make(map[string]*EdgeCounts, len(names))}
 	for _, n := range names {
 		t.byName[n] = &EdgeCounts{}
 	}
-	t.detach = append(t.detach,
-		noc.HookGrant(func(name string, now sim.Cycle, port, out int, id uint64) {
-			if c := t.byName[name]; c != nil {
-				c.Grants++
+	p.Grant = append(p.Grant, func(name string, now sim.Cycle, port, out int, id uint64) {
+		if c := t.byName[name]; c != nil {
+			c.Grants++
+		}
+	})
+	p.Credit = append(p.Credit, func(name string, now sim.Cycle, port int, wasFull bool) {
+		if c := t.byName[name]; c != nil {
+			c.Credits++
+			if wasFull {
+				c.FullPops++
 			}
-		}),
-		noc.HookCredit(func(name string, now sim.Cycle, port int, wasFull bool) {
-			if c := t.byName[name]; c != nil {
-				c.Credits++
-				if wasFull {
-					c.FullPops++
-				}
-			}
-		}),
-		noc.HookStall(func(name string, now sim.Cycle, n uint64, backfill bool) {
-			if c := t.byName[name]; c != nil {
-				c.Stalls += n
-			}
-		}),
-	)
+		}
+	})
+	p.Stall = append(p.Stall, func(name string, now sim.Cycle, n uint64, backfill bool) {
+		if c := t.byName[name]; c != nil {
+			c.Stalls += n
+		}
+	})
 	return t
 }
 
@@ -68,12 +60,4 @@ func (t *EdgeTap) Reset() {
 	for _, c := range t.byName {
 		*c = EdgeCounts{}
 	}
-}
-
-// Close detaches the tap from the edges.
-func (t *EdgeTap) Close() {
-	for _, d := range t.detach {
-		d()
-	}
-	t.detach = nil
 }

@@ -42,8 +42,7 @@ func TestMonitorServesLiveRun(t *testing.T) {
 	mon.AddPlanned(1)
 	h := mon.StartRun("case A / policy qos")
 	sys := core.Build(fastCfg())
-	az := analysis.Attach(sys, analysis.Options{Window: 1024, Publish: h.Publish})
-	defer az.Detach()
+	analysis.Attach(sys, analysis.Options{Window: 1024, Publish: h.Publish})
 	sys.Run(8 * 1024) // several windows in; the run is still in flight
 
 	var st struct {

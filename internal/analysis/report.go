@@ -72,8 +72,7 @@ type ChannelReport struct {
 }
 
 // Report assembles the accumulated windows into a serializable Report.
-// Call it after the run (the final partial window is not closed; Detach
-// first if the edge subscriptions should be released).
+// Call it after the run (the final partial window is not closed).
 func (a *Analyzer) Report() *Report {
 	rep := &Report{
 		Window:  uint64(a.window),

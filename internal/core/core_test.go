@@ -6,6 +6,7 @@ import (
 	"sara/internal/config"
 	"sara/internal/core"
 	"sara/internal/memctrl"
+	"sara/internal/sim"
 	"sara/internal/txn"
 )
 
@@ -196,5 +197,30 @@ func TestQueueClassesReachDRAM(t *testing.T) {
 		if n == 0 {
 			t.Errorf("queue class %v served no transactions", txn.Class(i))
 		}
+	}
+}
+
+// TestProbesArePerSystem builds two systems from one config in one
+// process and subscribes a grant observer to the first only. Running the
+// second must not reach it; running the first must deliver exactly one
+// event per packet its routers forwarded.
+func TestProbesArePerSystem(t *testing.T) {
+	cfg := fastCfg()
+	a, b := core.Build(cfg), core.Build(cfg)
+	var grants uint64
+	pa := a.Probes()
+	pa.Grant = append(pa.Grant, func(string, sim.Cycle, int, int, uint64) { grants++ })
+
+	b.RunFrames(1)
+	if grants != 0 {
+		t.Fatalf("observer on system A saw %d grants from system B", grants)
+	}
+	a.RunFrames(1)
+	var forwarded uint64
+	for _, r := range a.Routers() {
+		forwarded += r.Forwarded()
+	}
+	if forwarded == 0 || grants != forwarded {
+		t.Fatalf("observer on system A saw %d grants, its routers forwarded %d", grants, forwarded)
 	}
 }

@@ -46,6 +46,7 @@ type System struct {
 	nextID  uint64
 	byLabel map[string]*Unit
 	pool    txn.Pool
+	probes  sim.Probes
 }
 
 // mcSink adapts a memory controller into a NoC sink with credit returns:
@@ -73,8 +74,11 @@ func (s mcSink) OnCredit(w noc.Waker) {
 		panic(fmt.Sprintf("core: controller %d already credit-wired", s.ctrl.Config().Channel))
 	}
 	name := fmt.Sprintf("mc%d", s.ctrl.Config().Channel)
+	probes := s.ctrl.Config().Probes
 	s.ctrl.OnRelease = func(class txn.Class, now sim.Cycle) {
-		noc.TraceCredit(name, now, int(class), true)
+		for _, f := range probes.Credit {
+			f(name, now, int(class), true)
+		}
 		w.Wake(now + 1)
 	}
 }
@@ -124,6 +128,7 @@ func Build(cfg Config) *System {
 			Delta:     cfg.Delta,
 			AgingT:    cfg.AgingT,
 			QueueCaps: cfg.QueueCaps,
+			Probes:    &s.probes,
 		}
 		ctrl := memctrl.New(mcCfg, s.dram)
 		ctrl.OnComplete = func(t *txn.Transaction, done sim.Cycle) {
@@ -158,7 +163,7 @@ func Build(cfg Config) *System {
 		rootPorts++
 	}
 	s.rootRouter = noc.NewRouter("root", nocParams, rootPorts, mcSinks,
-		func(t *txn.Transaction) int { return mapper.Channel(t.Addr) })
+		func(t *txn.Transaction) int { return mapper.Channel(t.Addr) }, &s.probes)
 
 	portOf := make(map[int]*noc.Port, len(cfg.DMAs))
 	next := 0
@@ -169,14 +174,14 @@ func Build(cfg Config) *System {
 	if len(media) > 0 {
 		sink := noc.PortSink{Port: s.rootRouter.Port(next), Hop: nocParams.HopLatency}
 		next++
-		s.mediaRouter = noc.NewRouter("media", nocParams, len(media), []noc.Sink{sink}, nil)
+		s.mediaRouter = noc.NewRouter("media", nocParams, len(media), []noc.Sink{sink}, nil, &s.probes)
 		for pi, i := range media {
 			portOf[i] = s.mediaRouter.Port(pi)
 		}
 	}
 	if len(system) > 0 {
 		sink := noc.PortSink{Port: s.rootRouter.Port(next), Hop: nocParams.HopLatency}
-		s.sysRouter = noc.NewRouter("system", nocParams, len(system), []noc.Sink{sink}, nil)
+		s.sysRouter = noc.NewRouter("system", nocParams, len(system), []noc.Sink{sink}, nil, &s.probes)
 		for pi, i := range system {
 			portOf[i] = s.sysRouter.Port(pi)
 		}
@@ -264,6 +269,7 @@ func (s *System) buildUnit(idx int, spec DMASpec, port *noc.Port, rng *sim.Rand,
 		Class:  spec.Class,
 		Window: window,
 		Pool:   &s.pool,
+		Probes: &s.probes,
 	}, idx, &s.nextID, port, cfg.NoC.HopLatency)
 
 	region := traffic.Region{
@@ -425,6 +431,29 @@ func roundTo(v float64, reqSize uint32) uint64 {
 
 // Kernel exposes the simulation kernel (tests drive it directly).
 func (s *System) Kernel() *sim.Kernel { return s.kernel }
+
+// Probes exposes this system's trace edges. Every router, DMA engine and
+// memory controller of the system reports on them, and nothing outside
+// it does, so observers of one system never see another's events.
+// Subscribe before running.
+func (s *System) Probes() *sim.Probes { return &s.probes }
+
+// SetForceScan switches every router, DMA engine and memory controller
+// of the system to its per-cycle reference scan, bypassing the dormancy
+// caches (router grant windows, DMA injection wakes, controller bank
+// buckets). The differential suites run it with idle skipping disabled
+// as the stepped reference the event-driven run must match.
+func (s *System) SetForceScan(on bool) {
+	for _, r := range s.Routers() {
+		r.SetForceScan(on)
+	}
+	for _, u := range s.units {
+		u.Engine.SetForceScan(on)
+	}
+	for _, c := range s.ctrls {
+		c.SetForceScan(on)
+	}
+}
 
 // DRAM exposes the device model. Callers that only read counters should
 // prefer DRAMStats, RowHitRate, RefreshDuty and BandwidthOverWindowGBps.

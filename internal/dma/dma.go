@@ -16,8 +16,8 @@
 // engine is not ticked at all; in the stepped and force-poll reference
 // modes ticks strictly before wakeAt settle the batched stall accounting
 // in O(1), and SettleRun flushes the same accounting at the run horizon.
-// SetForceScan restores the per-cycle queue inspection as the stepped
-// reference for the differential suites.
+// Engine.SetForceScan restores the per-cycle queue inspection as the
+// stepped reference for the differential suites.
 package dma
 
 import (
@@ -27,109 +27,6 @@ import (
 	"sara/internal/sim"
 	"sara/internal/txn"
 )
-
-// The injection and injection-wake trace edges follow the registry
-// contract shared with noc and memctrl (see the hook block in
-// internal/noc/noc.go): HookX(fn) subscribes fn alongside other
-// observers and returns its detach func, SetDebugX(fn) is the legacy
-// single-observer installer on one managed slot, and with no subscribers
-// the fast-path pointer is nil so the disabled path stays zero-cost.
-// Registration is single-threaded and the edges are process-global.
-
-// InjectFn observes one injection: which engine injected which
-// transaction (id, address) into its NoC port at now.
-type InjectFn = func(now sim.Cycle, source int, id uint64, addr uint64)
-
-// debugInject, when non-nil, observes every injection.
-var debugInject InjectFn
-
-var injectHooks sim.HookList[InjectFn]
-
-// HookInject subscribes fn to the injection edge and returns its detach
-// func.
-func HookInject(fn InjectFn) (detach func()) {
-	return injectHooks.Attach(fn, &debugInject, func(fns []InjectFn) InjectFn {
-		return func(now sim.Cycle, source int, id uint64, addr uint64) {
-			for _, f := range fns {
-				f(now, source, id, addr)
-			}
-		}
-	})
-}
-
-var legacyInject func()
-
-// SetDebugInject installs fn as the legacy injection observer (nil
-// uninstalls).
-func SetDebugInject(fn InjectFn) {
-	if fn == nil {
-		setLegacy(&legacyInject, nil)
-		return
-	}
-	setLegacy(&legacyInject, func() func() { return HookInject(fn) })
-}
-
-// WakeFn observes one injection-wake re-arm of the cached next-injection
-// cycle: which engine re-armed to at, and why — 'D' for a completion
-// delivery, 'C' for a port credit return. The enqueue edge re-arms only
-// the kernel's wake entry, never the cache — the Tick gate reads the
-// live queue — so it has no wake to trace.
-type WakeFn = func(source int, at sim.Cycle, cause byte)
-
-// debugWake, when non-nil, observes every injection-wake re-arm. The
-// re-arm stream is a function of the simulated behavior alone, so it must
-// be bit-identical between the idle-skipping run and the stepped
-// force-scan reference — a stale or missing wake diverges this trace
-// instead of silently stalling a core.
-var debugWake WakeFn
-
-var wakeHooks sim.HookList[WakeFn]
-
-// HookWake subscribes fn to the injection-wake edge and returns its
-// detach func.
-func HookWake(fn WakeFn) (detach func()) {
-	return wakeHooks.Attach(fn, &debugWake, func(fns []WakeFn) WakeFn {
-		return func(source int, at sim.Cycle, cause byte) {
-			for _, f := range fns {
-				f(source, at, cause)
-			}
-		}
-	})
-}
-
-var legacyWake func()
-
-// SetDebugWake installs fn as the legacy injection-wake observer (nil
-// uninstalls).
-func SetDebugWake(fn WakeFn) {
-	if fn == nil {
-		setLegacy(&legacyWake, nil)
-		return
-	}
-	setLegacy(&legacyWake, func() func() { return HookWake(fn) })
-}
-
-// setLegacy mirrors noc.setLegacy: detach the previous legacy
-// subscription, then install the replacement when attach is non-nil.
-func setLegacy(slot *func(), attach func() func()) {
-	if *slot != nil {
-		(*slot)()
-		*slot = nil
-	}
-	if attach != nil {
-		*slot = attach()
-	}
-}
-
-// forceScan, when set, disables the wakeAt dormancy short-circuit so Tick
-// re-inspects the queue, window and port every cycle — the per-cycle
-// reference the differential tests compare the event-driven engine
-// against (tests only; use with idle skipping disabled, like
-// noc.SetForceScan).
-var forceScan bool
-
-// SetForceScan forces the per-cycle reference inspection (tests only).
-func SetForceScan(on bool) { forceScan = on }
 
 // never marks an unarmed injection wake: nothing can be injected until an
 // external event (enqueue, completion, credit) re-arms the engine.
@@ -161,6 +58,10 @@ type Config struct {
 	// inject/complete path allocates nothing. All engines of one system
 	// share a pool; the simulator is single-threaded.
 	Pool *txn.Pool
+	// Probes are the trace edges the engine reports injections and
+	// injection-wake re-arms on, shared by every component of one system;
+	// nil gives the engine a private, unsubscribed set.
+	Probes *sim.Probes
 }
 
 // Stats holds the DMA's counters.
@@ -211,6 +112,11 @@ type Engine struct {
 	// well and is counted in one step.
 	lastTick sim.Cycle
 	stalled  bool
+	// forceScan disables the wakeAt dormancy short-circuit so Tick
+	// re-inspects the queue, window and port every cycle — the per-cycle
+	// reference the differential tests compare the event-driven engine
+	// against.
+	forceScan bool
 
 	onComplete []CompletionFunc
 	stats      Stats
@@ -239,6 +145,9 @@ func New(cfg Config, id int, nextID *uint64, port *noc.Port, hop sim.Cycle) *Eng
 	}
 	if cfg.MaxPending <= 0 {
 		cfg.MaxPending = 2 * cfg.Window
+	}
+	if cfg.Probes == nil {
+		cfg.Probes = &sim.Probes{}
 	}
 	e := &Engine{cfg: cfg, id: id, nextID: nextID, port: port, hop: hop}
 	port.OnCreditArmed(e)
@@ -277,6 +186,10 @@ func (e *Engine) OnComplete(fn CompletionFunc) {
 	e.onComplete = append(e.onComplete, fn)
 }
 
+// SetForceScan switches the engine to the per-cycle reference inspection
+// (the injection-wake cache bypassed). Use it with idle skipping disabled.
+func (e *Engine) SetForceScan(on bool) { e.forceScan = on }
+
 // BindWake implements sim.WakeBinder: the kernel hands the engine its
 // wake handle at registration.
 func (e *Engine) BindWake(h sim.WakeHandle) { e.kern = h }
@@ -299,8 +212,8 @@ func (e *Engine) BindSourceWake(h sim.WakeHandle, onDeliver bool) {
 // fires before this cycle's ticks on an engine that may be dormant — in
 // either case the kernel entry is what gets the engine ticked at all.
 func (e *Engine) rearm(at sim.Cycle, cause byte) {
-	if debugWake != nil {
-		debugWake(e.id, at, cause)
+	for _, f := range e.cfg.Probes.Wake {
+		f(e.id, at, cause)
 	}
 	if at >= e.wakeAt {
 		// Already armed at or before at — and the kernel already knows:
@@ -387,7 +300,7 @@ func (e *Engine) NextActivity(now sim.Cycle) (sim.Cycle, bool) {
 //
 //sara:hotpath
 func (e *Engine) Tick(now sim.Cycle) {
-	if (len(e.pending) == 0 || e.stalled) && now < e.wakeAt && !forceScan {
+	if (len(e.pending) == 0 || e.stalled) && now < e.wakeAt && !e.forceScan {
 		// Idle, or dormant while blocked. The live pending check is the
 		// enqueue edge: fresh requests on an un-stalled engine can only
 		// appear on this very cycle (the source ticked just before), so
@@ -450,8 +363,8 @@ func (e *Engine) Tick(now sim.Cycle) {
 		if e.urgent != nil {
 			t.Urgent = e.urgent(now)
 		}
-		if debugInject != nil {
-			debugInject(now, e.id, t.ID, uint64(t.Addr))
+		for _, f := range e.cfg.Probes.Inject {
+			f(now, e.id, t.ID, uint64(t.Addr))
 		}
 		e.port.Push(t, now, now+e.hop)
 		e.outstanding++

@@ -20,7 +20,7 @@ func newRig(window int) *rig {
 	r := &rig{}
 	var id uint64
 	sink := sinkFunc(func(tr *txn.Transaction) { r.out = append(r.out, tr) })
-	r.router = noc.NewRouter("t", noc.Params{PortDepth: 8, Arb: noc.ArbFCFS}, 1, []noc.Sink{sink}, nil)
+	r.router = noc.NewRouter("t", noc.Params{PortDepth: 8, Arb: noc.ArbFCFS}, 1, []noc.Sink{sink}, nil, nil)
 	r.engine = New(Config{Name: "t", Core: "T", Class: txn.ClassMedia, Window: window},
 		0, &id, r.router.Port(0), 0)
 	return r
@@ -194,21 +194,20 @@ func TestInjectionWakeDifferential(t *testing.T) {
 		id  uint64
 	}
 	run := func(force bool) (Stats, []inj) {
-		SetForceScan(force)
-		defer SetForceScan(false)
 		var injs []inj
-		SetDebugInject(func(now sim.Cycle, _ int, id uint64, _ uint64) {
+		probes := &sim.Probes{}
+		probes.Inject = append(probes.Inject, func(now sim.Cycle, _ int, id uint64, _ uint64) {
 			injs = append(injs, inj{now, id})
 		})
-		defer SetDebugInject(nil)
 
 		var id uint64
 		var out []*txn.Transaction
 		sink := sinkFunc(func(tr *txn.Transaction) { out = append(out, tr) })
 		// Port depth 2 so the port-full blocker engages quickly.
-		router := noc.NewRouter("t", noc.Params{PortDepth: 2, Arb: noc.ArbFCFS}, 1, []noc.Sink{sink}, nil)
-		engine := New(Config{Name: "t", Core: "T", Class: txn.ClassMedia, Window: 3, MaxPending: 8},
+		router := noc.NewRouter("t", noc.Params{PortDepth: 2, Arb: noc.ArbFCFS}, 1, []noc.Sink{sink}, nil, nil)
+		engine := New(Config{Name: "t", Core: "T", Class: txn.ClassMedia, Window: 3, MaxPending: 8, Probes: probes},
 			0, &id, router.Port(0), 0)
+		engine.SetForceScan(force)
 
 		delivered := 0
 		for now := sim.Cycle(0); now < 40; now++ {

@@ -75,16 +75,15 @@ type Options struct {
 
 	// Analyze attaches the stall-attribution analyzers (edge layer
 	// included) to every cell and records an analysis.Report in each
-	// PolicyRun. The trace-hook edges are process-global, so an analyzed
-	// sweep runs its cells serially (apply forces Workers to 1).
+	// PolicyRun. Each analyzer observes only its own cell's System, so
+	// analyzed sweeps fan out across Workers like any other.
 	Analyze bool
 	// AnalysisWindow overrides the analyzer aggregation window in cycles
 	// (0 = four NPI sampling periods).
 	AnalysisWindow uint64
 	// Monitor, when non-nil, receives each cell's progress and live
 	// windowed snapshots. Monitoring alone attaches sampling-only
-	// analyzers (no process-global edges), so it composes with parallel
-	// workers; combine with Analyze for edge-layer snapshots too.
+	// analyzers; combine with Analyze for edge-layer snapshots too.
 	Monitor *analysis.Monitor
 }
 
@@ -98,11 +97,6 @@ func (o Options) apply() Options {
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.Analyze {
-		// The analyzer's edge layer subscribes to process-global trace
-		// edges that cannot tell concurrent systems apart.
-		o.Workers = 1
 	}
 	return o
 }

@@ -22,9 +22,6 @@ func TestRunCellsAnalyzesAndMonitors(t *testing.T) {
 	defer mon.Close()
 
 	opt := Options{ScaleDiv: 512, Analyze: true, AnalysisWindow: 2048, Monitor: mon}.apply()
-	if opt.Workers != 1 {
-		t.Fatalf("Analyze did not serialize workers: %d", opt.Workers)
-	}
 	cells := []Cell{
 		{Case: config.CaseA, Policy: memctrl.FCFS},
 		{Case: config.CaseA, Policy: memctrl.QoS},

@@ -252,7 +252,6 @@ func runCellOnce(c Cell, opt Options, attempt int) (run PolicyRun, rerr *RunErro
 			aopt.Publish = mon.Publish
 		}
 		az = analysis.Attach(sys, aopt)
-		defer az.Detach()
 	}
 	if opt.Chaos != nil {
 		opt.Chaos(c, attempt).arm(sys)

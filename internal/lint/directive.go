@@ -16,7 +16,6 @@ import (
 //	                            allocation-free hot-path contract.
 //	//sara:alloc-ok <reason>    suppress a hotpathalloc finding on this line.
 //	//sara:bound-ok <reason>    suppress a wakebound finding on this line.
-//	//sara:hook-ok <reason>     suppress a hookdiscipline finding on this line.
 //	//sara:maprange-ok <reason> suppress a determinism map-iteration finding.
 //	//sara:wallclock <reason>   allow a time.Now on this line (watchdog
 //	                            deadlines are about the host, not the
@@ -28,7 +27,6 @@ const (
 	VerbHotpath    = "hotpath"
 	VerbAllocOK    = "alloc-ok"
 	VerbBoundOK    = "bound-ok"
-	VerbHookOK     = "hook-ok"
 	VerbMaprangeOK = "maprange-ok"
 	VerbWallclock  = "wallclock"
 )
@@ -41,7 +39,7 @@ func reasonRequired(verb string) bool { return verb != VerbHotpath }
 
 func knownVerb(verb string) bool {
 	switch verb {
-	case VerbHotpath, VerbAllocOK, VerbBoundOK, VerbHookOK, VerbMaprangeOK, VerbWallclock:
+	case VerbHotpath, VerbAllocOK, VerbBoundOK, VerbMaprangeOK, VerbWallclock:
 		return true
 	}
 	return false
@@ -158,7 +156,7 @@ func runDirective(p *Pass) error {
 				switch {
 				case !knownVerb(d.verb):
 					p.Reportf(c.Pos(), "",
-						"unknown //sara: directive %q (known: hotpath, alloc-ok, bound-ok, hook-ok, maprange-ok, wallclock)", d.verb)
+						"unknown //sara: directive %q (known: hotpath, alloc-ok, bound-ok, maprange-ok, wallclock)", d.verb)
 				case reasonRequired(d.verb) && d.reason == "":
 					p.Reportf(c.Pos(), "",
 						"//sara:%s requires a justification: //sara:%s <reason>", d.verb, d.verb)

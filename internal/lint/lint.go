@@ -1,7 +1,7 @@
 // Package lint is saravet's repo-aware static-analysis suite: a small
 // go/analysis-style framework (the toolchain image carries no
 // golang.org/x/tools, so the Analyzer/Pass shape is reimplemented on the
-// standard library's go/ast + go/types) plus the four analyzers that turn
+// standard library's go/ast + go/types) plus the three analyzers that turn
 // this repo's dynamically-enforced invariants into `go vet`-time errors:
 //
 //   - hotpathalloc: functions annotated //sara:hotpath — the kernel step
@@ -10,13 +10,10 @@
 //   - wakebound: NextActivity/Wake implementations must not derive
 //     now-relative bounds from mutable receiver state (the PR 7 stale
 //     lazy-cursor wake-bug class).
-//   - hookdiscipline: the package-level trace-hook fast-path pointers
-//     (noc/dma/memctrl debugX) may only be rewired through the
-//     sim.HookList registry, never assigned directly.
 //   - determinism: simulation and report code must not consult wall-clock
 //     time, the global math/rand stream, or unsorted map iteration.
 //
-// A fifth analyzer, directive, validates the //sara: comment vocabulary
+// A fourth analyzer, directive, validates the //sara: comment vocabulary
 // itself, so a typoed suppression fails loudly instead of silently
 // allowlisting nothing.
 //
@@ -60,7 +57,6 @@ func All() []*Analyzer {
 		Directive(),
 		HotPathAlloc(),
 		WakeBound(),
-		HookDiscipline(),
 		Determinism(),
 	}
 }

@@ -173,13 +173,11 @@ func (c *Controller) dirtyRank(r int) {
 	}
 }
 
-// forceScan, when set, disables the controller's dormancy window and all
-// bucket caches: every Tick re-derives the candidate set, the row-hit
-// table and the refresh mask from scratch. The differential fuzz harness
-// runs the cycle-stepped reference in this mode, so a stale bucket bound
-// or missed invalidation diverges the command trace instead of hiding.
-var forceScan bool
-
-// SetForceScan forces the per-cycle full-rescan reference (tests only;
-// not for concurrent use).
-func SetForceScan(on bool) { forceScan = on }
+// SetForceScan switches the controller to the per-cycle full-rescan
+// reference: no dormancy window and no bucket caches, so every Tick
+// re-derives the candidate set, the row-hit table and the refresh mask
+// from scratch. The differential fuzz harness runs the cycle-stepped
+// reference in this mode, so a stale bucket bound or missed invalidation
+// diverges the command trace instead of hiding. Use it with idle skipping
+// disabled.
+func (c *Controller) SetForceScan(on bool) { c.forceScan = on }

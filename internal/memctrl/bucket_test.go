@@ -25,9 +25,6 @@ type issueRecord struct {
 // break one of the controller's caches on purpose.
 func driveRandom(t *testing.T, policy PolicyKind, seed uint64, refresh, force bool, cycles sim.Cycle, corrupt func(*Controller)) []issueRecord {
 	t.Helper()
-	SetForceScan(force)
-	defer SetForceScan(false)
-
 	dcfg := dram.PaperConfig(1866)
 	if refresh {
 		dcfg.Refresh = dcfg.DefaultRefresh()
@@ -37,12 +34,13 @@ func driveRandom(t *testing.T, policy PolicyKind, seed uint64, refresh, force bo
 	cfg.Policy = policy
 	cfg.AgingT = 500 // low enough that aged passes actually happen
 	c := New(cfg, d)
+	c.SetForceScan(force)
 
 	var out []issueRecord
-	SetDebugTrace(func(ch int, now sim.Cycle, id uint64, kind byte) {
+	probes := c.Config().Probes
+	probes.Command = append(probes.Command, func(ch int, now sim.Cycle, id uint64, kind byte) {
 		out = append(out, issueRecord{id, now, kind})
 	})
-	defer SetDebugTrace(nil)
 	c.OnComplete = func(*txn.Transaction, sim.Cycle) {}
 
 	rng := sim.NewRand(seed)

@@ -24,6 +24,10 @@ type Config struct {
 	// QueueCaps splits the controller's entries across the five class
 	// queues.
 	QueueCaps QueueCaps
+	// Probes are the trace edges the controller reports issued commands
+	// on (Probes.Command), shared by every component of one system; nil
+	// gives the controller a private, unsubscribed set.
+	Probes *sim.Probes
 }
 
 // DefaultConfig returns the paper's controller settings for a channel.
@@ -131,6 +135,9 @@ type Controller struct {
 	// instead of re-scanning every cycle. neverTry means no queued
 	// transaction can ever issue without a queue change.
 	nextTry sim.Cycle
+	// forceScan disables the dormancy window and all bucket caches (see
+	// SetForceScan).
+	forceScan bool
 
 	// scan is the per-scan snapshot of the channel's DRAM timing state;
 	// entries are evaluated against it with plain arithmetic instead of
@@ -183,6 +190,9 @@ const (
 func New(cfg Config, d *dram.DRAM) *Controller {
 	if cfg.Channel < 0 || cfg.Channel >= d.Config().Geometry.Channels {
 		panic(fmt.Sprintf("memctrl: channel %d out of range", cfg.Channel))
+	}
+	if cfg.Probes == nil {
+		cfg.Probes = &sim.Probes{}
 	}
 	geo := d.Config().Geometry
 	c := &Controller{
@@ -323,12 +333,12 @@ func (c *Controller) NextActivity(now sim.Cycle) (sim.Cycle, bool) {
 //
 //sara:hotpath
 func (c *Controller) Tick(now sim.Cycle) {
-	if c.refreshOn && (now >= c.refNextAction || forceScan) {
+	if c.refreshOn && (now >= c.refNextAction || c.forceScan) {
 		if c.tickRefresh(now) {
 			return // the refresh machine consumed this cycle's command slot
 		}
 	}
-	if now < c.nextTry && !forceScan {
+	if now < c.nextTry && !c.forceScan {
 		return
 	}
 	c.collectCandidates(now)
@@ -423,8 +433,8 @@ func (c *Controller) earliestPre(r int) sim.Cycle {
 // cycle: the REF moved every activate gate of the rank and may have
 // cleared the forced mask over queued work.
 func (c *Controller) issueRefresh(r int, now sim.Cycle, forced bool) {
-	if debugTrace != nil {
-		debugTrace(c.cfg.Channel, now, 0, 'R')
+	for _, f := range c.cfg.Probes.Command {
+		f(c.cfg.Channel, now, 0, 'R')
 	}
 	c.dram.Refresh(c.cfg.Channel, r, now)
 	c.dram.RefreshScanRank(c.cfg.Channel, r, &c.scan)
@@ -444,8 +454,8 @@ func (c *Controller) issueRefresh(r int, now sim.Cycle, forced bool) {
 // refresh, overriding any transaction's bank reservation (the reserving
 // transaction re-activates once the blackout passes).
 func (c *Controller) issueRefreshPre(r, b int, now sim.Cycle) {
-	if debugTrace != nil {
-		debugTrace(c.cfg.Channel, now, 0, 'P')
+	for _, f := range c.cfg.Probes.Command {
+		f(c.cfg.Channel, now, 0, 'P')
 	}
 	loc := dram.Location{Channel: c.cfg.Channel, Rank: r, Bank: b}
 	c.dram.Precharge(loc, now)
@@ -524,7 +534,7 @@ func (c *Controller) collectCandidates(now sim.Cycle) {
 	// Queues are FIFO and Enqueue stamps are monotone, so each class head
 	// is its queue's oldest entry: the earliest head deadline decides
 	// whether any aging work exists at all. The reference re-derives it.
-	if forceScan {
+	if c.forceScan {
 		c.collectFull(now, now >= c.headAgingDeadline())
 		return
 	}
@@ -773,63 +783,20 @@ func (c *Controller) allowPrecharge(e *entry) bool {
 	return e.t.Priority >= c.cfg.Delta && e.t.Priority > hitPrio
 }
 
-// TraceFn observes one issued DRAM command on channel ch at cycle now:
-// kind is 'A' (activate), 'P' (precharge), 'C' (CAS) or 'R' (refresh,
-// id 0); id is the transaction the command serves. The edge follows the
-// registry contract shared with noc and dma (see the hook block in
-// internal/noc/noc.go): HookTrace subscribes alongside other observers,
-// SetDebugTrace is the legacy single-observer installer, a nil fast-path
-// pointer keeps the disabled path zero-cost, and registration is
-// single-threaded on a process-global edge.
-type TraceFn = func(ch int, now sim.Cycle, id uint64, kind byte)
-
-// debugTrace, when non-nil, observes every issued command.
-var debugTrace TraceFn
-
-var traceHooks sim.HookList[TraceFn]
-
-// HookTrace subscribes fn to the command edge and returns its detach
-// func.
-func HookTrace(fn TraceFn) (detach func()) {
-	return traceHooks.Attach(fn, &debugTrace, func(fns []TraceFn) TraceFn {
-		return func(ch int, now sim.Cycle, id uint64, kind byte) {
-			for _, f := range fns {
-				f(ch, now, id, kind)
-			}
-		}
-	})
-}
-
-var legacyTrace func()
-
-// SetDebugTrace installs fn as the legacy command observer (nil
-// uninstalls).
-func SetDebugTrace(fn TraceFn) {
-	if fn == nil {
-		if legacyTrace != nil {
-			legacyTrace()
-			legacyTrace = nil
-		}
-		return
-	}
-	if legacyTrace != nil {
-		legacyTrace()
-	}
-	legacyTrace = HookTrace(fn)
-}
-
 // issue performs e's next command at cycle now.
 func (c *Controller) issue(best candidate, now sim.Cycle) {
 	e := best.e
 	state, row := c.dram.State(e.loc)
-	if debugTrace != nil {
+	if len(c.cfg.Probes.Command) > 0 {
 		k := byte('C')
 		if state == dram.BankOpen && row != e.loc.Row {
 			k = 'P'
 		} else if state != dram.BankOpen {
 			k = 'A'
 		}
-		debugTrace(c.cfg.Channel, now, e.t.ID, k)
+		for _, f := range c.cfg.Probes.Command {
+			f(c.cfg.Channel, now, e.t.ID, k)
+		}
 	}
 	switch {
 	case state == dram.BankOpen && row == e.loc.Row:

@@ -188,8 +188,8 @@ func (p *Port) pop(now sim.Cycle) packet {
 	p.fifo = p.fifo[:len(p.fifo)-1]
 	if p.owner != nil {
 		p.owner.queued--
-		if debugCredit != nil {
-			debugCredit(p.owner.name, now, p.idx, wasFull)
+		for _, f := range p.owner.probes.Credit {
+			f(p.owner.name, now, p.idx, wasFull)
 		}
 	}
 	if wasFull && p.creditTo != nil && (!p.creditLazy || p.creditArmed) {
@@ -312,6 +312,13 @@ type Router struct {
 	forwarded uint64
 	stalls    uint64 // cycles an arbitrable head existed but no grant fit
 
+	// probes are the owning system's trace edges (stall, grant, credit,
+	// sleep). forceScan disables the dormancy short-circuit so Tick runs
+	// the full ready-head scan every cycle — the polling reference the
+	// differential tests compare the event-driven arbiter against.
+	probes    *sim.Probes
+	forceScan bool
+
 	// wake is the router's kernel wake handle: every lowering of
 	// nextGrantAt — upstream pushes (Port.Push) and credit wakes (Wake) —
 	// is forwarded through it into the kernel's wake heap, so the
@@ -321,194 +328,19 @@ type Router struct {
 	wake sim.WakeHandle
 }
 
-// The trace edges below follow the registry contract shared by noc, dma
-// and memctrl: each edge is a package-level function pointer that the hot
-// path nil-checks, multiplexed by a sim.HookList so several observers can
-// coexist. HookX(fn) subscribes fn and returns its detach function;
-// SetDebugX(fn) is the legacy single-observer installer the equivalence
-// suites use, reimplemented as one managed registry slot (SetDebugX(nil)
-// releases it). With no subscribers the pointer is nil and the disabled
-// path stays zero-cost (the steady-state alloc gates cover it).
-// Registration is single-threaded: never attach or detach concurrently
-// with a running kernel, and note the edges are process-global — two
-// simulations in one process share them.
-
-// StallFn observes a stall accrual: name's router stalled for n cycles
-// ending at now. Stalls are batched across dormant stretches, so one call
-// may cover many cycles (backfill reports whether the accrual was settled
-// after the fact rather than observed on a live scan); batching boundaries
-// depend on when settles run and are not part of the equivalence contract
-// — only the per-router totals are.
-type StallFn = func(name string, now sim.Cycle, n uint64, backfill bool)
-
-// debugStall, when non-nil, observes every stall accrual.
-var debugStall StallFn
-
-var stallHooks sim.HookList[StallFn]
-
-// HookStall subscribes fn to the stall edge and returns its detach func.
-func HookStall(fn StallFn) (detach func()) {
-	return stallHooks.Attach(fn, &debugStall, func(fns []StallFn) StallFn {
-		return func(name string, now sim.Cycle, n uint64, backfill bool) {
-			for _, f := range fns {
-				f(name, now, n, backfill)
-			}
-		}
-	})
-}
-
-var legacyStall func()
-
-// SetDebugStall installs fn as the legacy stall observer (nil uninstalls),
-// managing a single registry slot so tests and analyzers coexist.
-func SetDebugStall(fn StallFn) {
-	if fn == nil {
-		setLegacy(&legacyStall, nil)
-		return
-	}
-	setLegacy(&legacyStall, func() func() { return HookStall(fn) })
-}
-
-// GrantFn observes one switch-allocation grant: which input port won
-// which output for which transaction.
-type GrantFn = func(name string, now sim.Cycle, port, out int, id uint64)
-
-// debugGrant, when non-nil, observes every switch-allocation grant.
-var debugGrant GrantFn
-
-var grantHooks sim.HookList[GrantFn]
-
-// HookGrant subscribes fn to the grant edge and returns its detach func.
-func HookGrant(fn GrantFn) (detach func()) {
-	return grantHooks.Attach(fn, &debugGrant, func(fns []GrantFn) GrantFn {
-		return func(name string, now sim.Cycle, port, out int, id uint64) {
-			for _, f := range fns {
-				f(name, now, port, out, id)
-			}
-		}
-	})
-}
-
-var legacyGrant func()
-
-// SetDebugGrant installs fn as the legacy grant observer (nil uninstalls).
-func SetDebugGrant(fn GrantFn) {
-	if fn == nil {
-		setLegacy(&legacyGrant, nil)
-		return
-	}
-	setLegacy(&legacyGrant, func() func() { return HookGrant(fn) })
-}
-
-// CreditFn observes a credit-side pop of a router input port: which port
-// freed a slot and whether the FIFO was full (i.e. the pop actually
-// returned a credit upstream). Controller-side queue releases are
-// reported on the same edge through TraceCredit by the SoC wiring, under
-// their own names.
-type CreditFn = func(name string, now sim.Cycle, port int, wasFull bool)
-
-// debugCredit, when non-nil, observes every credit-side pop.
-var debugCredit CreditFn
-
-var creditHooks sim.HookList[CreditFn]
-
-// HookCredit subscribes fn to the credit edge and returns its detach func.
-func HookCredit(fn CreditFn) (detach func()) {
-	return creditHooks.Attach(fn, &debugCredit, func(fns []CreditFn) CreditFn {
-		return func(name string, now sim.Cycle, port int, wasFull bool) {
-			for _, f := range fns {
-				f(name, now, port, wasFull)
-			}
-		}
-	})
-}
-
-var legacyCredit func()
-
-// SetDebugCredit installs fn as the legacy credit observer (nil
-// uninstalls).
-func SetDebugCredit(fn CreditFn) {
-	if fn == nil {
-		setLegacy(&legacyCredit, nil)
-		return
-	}
-	setLegacy(&legacyCredit, func() func() { return HookCredit(fn) })
-}
-
-// setLegacy points one managed registry slot at a fresh subscription: the
-// previous legacy subscription (if any) is detached, then attach (when
-// non-nil) installs the replacement — exactly the old single-pointer
-// SetDebugX semantics, expressed on the registry.
-func setLegacy(slot *func(), attach func() func()) {
-	if *slot != nil {
-		(*slot)()
-		*slot = nil
-	}
-	if attach != nil {
-		*slot = attach()
-	}
-}
-
-// TraceCredit reports a credit return to the credit edge's subscribers.
-// It exists for credit sources outside this package (the memory-controller
-// queue releases wired up by the SoC assembly).
-func TraceCredit(name string, now sim.Cycle, port int, wasFull bool) {
-	if debugCredit != nil {
-		debugCredit(name, now, port, wasFull)
-	}
-}
-
-// SleepFn observes a sleep window: when a scan runs at cycle b after the
-// previous scan at a-1, the router asserts no grant occurred in [a, b).
-type SleepFn = func(name string, from, until sim.Cycle)
-
-// debugSleep, when non-nil, observes every sleep window.
-var debugSleep SleepFn
-
-var sleepHooks sim.HookList[SleepFn]
-
-// HookSleep subscribes fn to the sleep-window edge and returns its detach
-// func.
-func HookSleep(fn SleepFn) (detach func()) {
-	return sleepHooks.Attach(fn, &debugSleep, func(fns []SleepFn) SleepFn {
-		return func(name string, from, until sim.Cycle) {
-			for _, f := range fns {
-				f(name, from, until)
-			}
-		}
-	})
-}
-
-var legacySleep func()
-
-// SetDebugSleep installs fn as the legacy sleep-window observer (nil
-// uninstalls).
-func SetDebugSleep(fn SleepFn) {
-	if fn == nil {
-		setLegacy(&legacySleep, nil)
-		return
-	}
-	setLegacy(&legacySleep, func() func() { return HookSleep(fn) })
-}
-
 // FlushSleep reports the router's trailing sleep window — the scan-free
-// stretch between its last scan and now — to the sleep-window edge.
-// Windows are otherwise only emitted when a later scan runs, so an
-// observer ending its run mid-sleep calls this to close the final window.
+// stretch between its last scan and now — to the sleep-window edge. Every
+// scan calls it; an observer ending its run mid-sleep calls it to close
+// the final window.
+//
+//sara:hotpath
 func (r *Router) FlushSleep(now sim.Cycle) {
-	if debugSleep != nil && now > r.lastScan+1 {
-		debugSleep(r.name, r.lastScan+1, now)
+	if now > r.lastScan+1 {
+		for _, f := range r.probes.Sleep {
+			f(r.name, r.lastScan+1, now)
+		}
 	}
 }
-
-// forceScan, when set, disables the dormancy short-circuit so Tick runs
-// the full ready-head scan every cycle — the polling reference the
-// differential tests compare the event-driven arbiter against.
-var forceScan bool
-
-// SetForceScan forces the per-cycle reference scan (tests only; use with
-// idle skipping disabled).
-func SetForceScan(on bool) { forceScan = on }
 
 // never marks an unarmed wake: a router with no packets accrues no stalls
 // (stallFrom) and a router whose every head is blocked on a credited sink
@@ -524,8 +356,10 @@ type readyHead struct {
 
 // NewRouter builds a router with nports input ports. route may be nil when
 // there is exactly one output. Outputs implementing CreditSink are wired
-// to wake the router on credit returns.
-func NewRouter(name string, params Params, nports int, outputs []Sink, route func(*txn.Transaction) int) *Router {
+// to wake the router on credit returns. probes are the trace edges the
+// router reports on, shared by every component of one system; nil gives
+// the router a private, unsubscribed set.
+func NewRouter(name string, params Params, nports int, outputs []Sink, route func(*txn.Transaction) int, probes *sim.Probes) *Router {
 	if nports <= 0 || len(outputs) == 0 {
 		panic("noc: router needs ports and outputs")
 	}
@@ -535,8 +369,11 @@ func NewRouter(name string, params Params, nports int, outputs []Sink, route fun
 		}
 		route = func(*txn.Transaction) int { return 0 }
 	}
+	if probes == nil {
+		probes = &sim.Probes{}
+	}
 	r := &Router{name: name, params: params, outputs: outputs, route: route,
-		stallFrom: never, nextGrantAt: never}
+		stallFrom: never, nextGrantAt: never, probes: probes}
 	r.ports = make([]*Port, nports)
 	for i := range r.ports {
 		r.ports[i] = NewPort(params.PortDepth)
@@ -567,6 +404,10 @@ func (r *Router) Forwarded() uint64 { return r.forwarded }
 
 // Stalls reports cycles where a ready head existed but nothing was granted.
 func (r *Router) Stalls() uint64 { return r.stalls }
+
+// SetForceScan switches the router to the per-cycle reference scan (the
+// dormancy window bypassed). Use it with idle skipping disabled.
+func (r *Router) SetForceScan(on bool) { r.forceScan = on }
 
 // BindWake implements sim.WakeBinder: the kernel hands the router its
 // wake handle at registration, so Wake can push external re-arms into
@@ -633,8 +474,8 @@ func (r *Router) SettleRun(end sim.Cycle) {
 	r.accrueStallGap(now)
 	if r.stallFrom <= now {
 		r.stalls++
-		if debugStall != nil {
-			debugStall(r.name, now, 1, false)
+		for _, f := range r.probes.Stall {
+			f(r.name, now, 1, false)
 		}
 	}
 	r.lastTick = now
@@ -650,8 +491,8 @@ func (r *Router) accrueStallGap(now sim.Cycle) {
 			from = r.lastTick + 1
 		}
 		r.stalls += uint64(now - from)
-		if debugStall != nil {
-			debugStall(r.name, now, uint64(now-from), true)
+		for _, f := range r.probes.Stall {
+			f(r.name, now, uint64(now-from), true)
 		}
 	}
 }
@@ -672,23 +513,21 @@ func (r *Router) Tick(now sim.Cycle) {
 	// (Port.Push, Wake) re-arms the kernel bound at its source, and the
 	// scan-end recompute below only raises the window relative to the
 	// post-tick re-key the active list performs.
-	if now < r.nextGrantAt && !forceScan {
+	if now < r.nextGrantAt && !r.forceScan {
 		// Dormant: the window proves no grant can occur this cycle, so
 		// the only per-cycle work is the stall accounting the reference
 		// scan would have done.
 		r.accrueStallGap(now)
 		if r.stallFrom <= now {
 			r.stalls++
-			if debugStall != nil {
-				debugStall(r.name, now, 1, false)
+			for _, f := range r.probes.Stall {
+				f(r.name, now, 1, false)
 			}
 		}
 		r.lastTick = now
 		return
 	}
-	if debugSleep != nil && now > r.lastScan+1 {
-		debugSleep(r.name, r.lastScan+1, now)
-	}
+	r.FlushSleep(now)
 	r.accrueStallGap(now)
 	r.lastTick = now
 	r.lastScan = now
@@ -715,8 +554,8 @@ func (r *Router) Tick(now sim.Cycle) {
 		}
 		h := r.ready[sel]
 		pk := r.ports[h.idx].pop(now)
-		if debugGrant != nil {
-			debugGrant(r.name, now, h.idx, out, pk.t.ID)
+		for _, f := range r.probes.Grant {
+			f(r.name, now, h.idx, out, pk.t.ID)
 		}
 		r.outputs[out].Accept(pk.t, now)
 		r.forwarded++
@@ -732,8 +571,8 @@ func (r *Router) Tick(now sim.Cycle) {
 	if !granted && len(r.ready) > 0 {
 		// Some head was ready but nothing fit downstream.
 		r.stalls++
-		if debugStall != nil {
-			debugStall(r.name, now, 1, false)
+		for _, f := range r.probes.Stall {
+			f(r.name, now, 1, false)
 		}
 	}
 	// Recompute the dormancy window and the stall origin from the

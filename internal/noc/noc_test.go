@@ -43,7 +43,7 @@ func TestPortBackpressure(t *testing.T) {
 
 func TestRouterForwardsOnePerCycle(t *testing.T) {
 	sink := &collectSink{}
-	r := NewRouter("t", params(ArbFCFS), 2, []Sink{sink}, nil)
+	r := NewRouter("t", params(ArbFCFS), 2, []Sink{sink}, nil, nil)
 	r.Port(0).Push(tx(1, 0), 0, 0)
 	r.Port(1).Push(tx(2, 0), 1, 1)
 	r.Tick(1)
@@ -60,7 +60,7 @@ func TestHopLatencyGatesArbitration(t *testing.T) {
 	sink := &collectSink{}
 	pr := params(ArbFCFS)
 	pr.HopLatency = 3
-	r := NewRouter("t", pr, 1, []Sink{sink}, nil)
+	r := NewRouter("t", pr, 1, []Sink{sink}, nil, nil)
 	PortSink{Port: r.Port(0), Hop: pr.HopLatency}.Accept(tx(1, 0), 0)
 	r.Tick(1)
 	r.Tick(2)
@@ -75,7 +75,7 @@ func TestHopLatencyGatesArbitration(t *testing.T) {
 
 func TestFCFSArbitrationOldestHeadWins(t *testing.T) {
 	sink := &collectSink{}
-	r := NewRouter("t", params(ArbFCFS), 2, []Sink{sink}, nil)
+	r := NewRouter("t", params(ArbFCFS), 2, []Sink{sink}, nil, nil)
 	r.Port(1).Push(tx(2, 0), 0, 0) // older
 	r.Port(0).Push(tx(1, 0), 5, 5)
 	r.Tick(6)
@@ -86,7 +86,7 @@ func TestFCFSArbitrationOldestHeadWins(t *testing.T) {
 
 func TestPriorityArbitration(t *testing.T) {
 	sink := &collectSink{}
-	r := NewRouter("t", params(ArbPriority), 3, []Sink{sink}, nil)
+	r := NewRouter("t", params(ArbPriority), 3, []Sink{sink}, nil, nil)
 	r.Port(0).Push(tx(1, 2), 0, 0)
 	r.Port(1).Push(tx(2, 7), 1, 1)
 	r.Port(2).Push(tx(3, 5), 2, 2)
@@ -100,7 +100,7 @@ func TestPriorityArbitration(t *testing.T) {
 
 func TestRRArbitrationFairness(t *testing.T) {
 	sink := &collectSink{}
-	r := NewRouter("t", params(ArbRR), 2, []Sink{sink}, nil)
+	r := NewRouter("t", params(ArbRR), 2, []Sink{sink}, nil, nil)
 	// Keep both ports backlogged; grants must alternate.
 	for i := 0; i < 4; i++ {
 		r.Port(0).Push(tx(uint64(10+i), 0), 0, 0)
@@ -118,7 +118,7 @@ func TestRRArbitrationFairness(t *testing.T) {
 
 func TestFrameRateArbitrationUrgentFirst(t *testing.T) {
 	sink := &collectSink{}
-	r := NewRouter("t", params(ArbFrameRate), 2, []Sink{sink}, nil)
+	r := NewRouter("t", params(ArbFrameRate), 2, []Sink{sink}, nil, nil)
 	r.Port(0).Push(tx(1, 0), 0, 0)
 	urgent := tx(2, 0)
 	urgent.Urgent = true
@@ -131,7 +131,7 @@ func TestFrameRateArbitrationUrgentFirst(t *testing.T) {
 
 func TestBlockedDownstreamStalls(t *testing.T) {
 	sink := &collectSink{full: true}
-	r := NewRouter("t", params(ArbFCFS), 1, []Sink{sink}, nil)
+	r := NewRouter("t", params(ArbFCFS), 1, []Sink{sink}, nil, nil)
 	r.Port(0).Push(tx(1, 0), 0, 0)
 	r.Tick(1)
 	if len(sink.got) != 0 {
@@ -153,7 +153,7 @@ func TestBlockedDownstreamStalls(t *testing.T) {
 func TestMultiOutputRouting(t *testing.T) {
 	s0, s1 := &collectSink{}, &collectSink{}
 	route := func(t *txn.Transaction) int { return int(t.Addr & 1) }
-	r := NewRouter("root", params(ArbFCFS), 2, []Sink{s0, s1}, route)
+	r := NewRouter("root", params(ArbFCFS), 2, []Sink{s0, s1}, route, nil)
 	a := tx(1, 0)
 	a.Addr = 0
 	b := tx(2, 0)
@@ -171,7 +171,7 @@ func TestAgingBeatsPriority(t *testing.T) {
 	sink := &collectSink{}
 	pr := params(ArbPriority)
 	pr.AgingT = 50
-	r := NewRouter("t", pr, 2, []Sink{sink}, nil)
+	r := NewRouter("t", pr, 2, []Sink{sink}, nil, nil)
 	r.Port(0).Push(tx(1, 0), 0, 0) // old, low priority
 	r.Port(1).Push(tx(2, 7), 60, 60)
 	r.Tick(60)
@@ -186,7 +186,7 @@ func TestAgingBeatsPriority(t *testing.T) {
 func next(r *Router, now sim.Cycle) (sim.Cycle, bool) { return r.NextActivity(now) }
 
 func TestEmptyRouterReportsNoActivity(t *testing.T) {
-	r := NewRouter("t", params(ArbFCFS), 2, []Sink{&collectSink{}}, nil)
+	r := NewRouter("t", params(ArbFCFS), 2, []Sink{&collectSink{}}, nil, nil)
 	if _, ok := next(r, 0); ok {
 		t.Fatal("empty router reported activity")
 	}
@@ -194,7 +194,7 @@ func TestEmptyRouterReportsNoActivity(t *testing.T) {
 
 func TestPushReArmsDormantRouter(t *testing.T) {
 	sink := &collectSink{}
-	r := NewRouter("t", params(ArbFCFS), 1, []Sink{sink}, nil)
+	r := NewRouter("t", params(ArbFCFS), 1, []Sink{sink}, nil, nil)
 	r.Port(0).Push(tx(1, 0), 0, 7) // still traversing its link until cycle 7
 	if at, ok := next(r, 1); !ok || at != 7 {
 		t.Fatalf("NextActivity = (%d, %v), want (7, true)", at, ok)
@@ -226,8 +226,8 @@ func TestCreditReturnWakesBlockedUpstream(t *testing.T) {
 	pr := params(ArbFCFS)
 	pr.PortDepth = 2
 	final := &collectSink{full: true}
-	down := NewRouter("down", pr, 1, []Sink{final}, nil)
-	up := NewRouter("up", pr, 1, []Sink{PortSink{Port: down.Port(0), Hop: 0}}, nil)
+	down := NewRouter("down", pr, 1, []Sink{final}, nil, nil)
+	up := NewRouter("up", pr, 1, []Sink{PortSink{Port: down.Port(0), Hop: 0}}, nil, nil)
 
 	// Fill the downstream port (depth 2) through upstream grants, plus one
 	// more packet that stays blocked upstream.
@@ -272,7 +272,7 @@ func TestCreditReturnWakesBlockedUpstream(t *testing.T) {
 // observed without any wake.
 func TestUncreditedSinkIsPolled(t *testing.T) {
 	sink := &collectSink{full: true}
-	r := NewRouter("t", params(ArbFCFS), 1, []Sink{sink}, nil)
+	r := NewRouter("t", params(ArbFCFS), 1, []Sink{sink}, nil, nil)
 	r.Port(0).Push(tx(1, 0), 0, 0)
 	r.Tick(1)
 	if at, ok := next(r, 1); !ok || at != 2 {
@@ -296,14 +296,13 @@ func TestDormantMatchesForceScan(t *testing.T) {
 		stalls  uint64
 	}
 	run := func(force bool) result {
-		SetForceScan(force)
-		defer SetForceScan(false)
 		rng := sim.NewRand(99)
 		sink := &collectSink{}
 		pr := params(ArbPriority)
 		pr.PortDepth = 3
 		pr.AgingT = 40
-		r := NewRouter("t", pr, 3, []Sink{sink}, nil)
+		r := NewRouter("t", pr, 3, []Sink{sink}, nil, nil)
+		r.SetForceScan(force)
 		id := uint64(0)
 		var res result
 		for c := sim.Cycle(0); c < 3000; c++ {

@@ -45,14 +45,17 @@
 //     and, because a run can end mid-dormancy, also settled at the run
 //     horizon via the optional Settler interface.
 //
-// Two reference modes bypass the active list for the differential suites:
-// SetIdleSkip(false) restores full cycle-by-cycle stepping (every ticker
-// ticked every cycle, in registration order), and SetForcePoll replaces
-// both the active list and the heap-driven fast-forward with the legacy
-// linear NextActivity sweep. Among co-due tickers the active list
-// preserves registration order — the SoC pipeline order sources -> DMA ->
-// NoC -> MC -> DRAM -> adapters — so all three modes execute the same
-// cycles' work in the same order.
+// Two reference modes bypass the active list for the differential suites.
+// Both are per-Kernel settings, so kernels in one process never see each
+// other's mode: SetIdleSkip(false) restores full cycle-by-cycle stepping
+// (every ticker ticked every cycle, in registration order), and
+// SetForcePoll(true) replaces both the active list and the heap-driven
+// fast-forward with the linear NextActivity sweep. The subsystems'
+// force-scan references (dormancy caches bypassed) are per-component
+// too, and trace observers subscribe per system through Probes. Among
+// co-due tickers the active list preserves registration order — the SoC
+// pipeline order sources -> DMA -> NoC -> MC -> DRAM -> adapters — so all
+// three modes execute the same cycles' work in the same order.
 package sim
 
 import (
@@ -455,18 +458,6 @@ func (w *wakeSet) siftDown(i int) {
 	w.pos[e.id] = int32(i)
 }
 
-// forcePoll, when set, replaces the wake-set fast-forward probe with the
-// legacy linear sweep over every idler's NextActivity — the polling
-// reference the wake-set differential tests replay against (tests only;
-// not for concurrent use, like noc.SetForceScan).
-var forcePoll bool
-
-// SetForcePoll forces the per-cycle linear NextActivity sweep (tests
-// only). The sweep and the wake set compute the same fast-forward target as
-// long as every external wake is re-armed, which is exactly the property
-// the differential suites check.
-func SetForcePoll(on bool) { forcePoll = on }
-
 // Kernel owns the clock, the ordered ticker list, the event queue and the
 // wake set. The zero value is ready to use, with idle skipping enabled.
 type Kernel struct {
@@ -485,10 +476,13 @@ type Kernel struct {
 	settlers []Settler
 	opaque   bool
 	noSkip   bool
-	events   eventHeap
-	seq      uint64
-	started  bool
-	skipped  uint64
+	// forcePoll replaces the active list and the wake-set fast-forward
+	// probe with the linear NextActivity sweep (see SetForcePoll).
+	forcePoll bool
+	events    eventHeap
+	seq       uint64
+	started   bool
+	skipped   uint64
 	// wd, when non-nil, activates the run-loop guardrails: RunChecked
 	// routes through the guarded loop in guard.go instead of Run's hot
 	// loop, so a nil watchdog costs nothing on the steady-state path.
@@ -514,6 +508,15 @@ func (k *Kernel) SkippedCycles() uint64 { return k.skipped }
 // Disabling it forces the reference cycle-by-cycle execution, which the
 // equivalence tests compare against.
 func (k *Kernel) SetIdleSkip(on bool) { k.noSkip = !on }
+
+// SetForcePoll switches the kernel to the polling reference the
+// wake-set differential tests replay against: every executed cycle ticks
+// every ticker, and the fast-forward target comes from a linear sweep
+// over every idler's NextActivity instead of the wake set. The sweep and
+// the wake set compute the same fast-forward target as long as every
+// external wake is re-armed, which is exactly the property the
+// differential suites check. Off by default; set it before Run.
+func (k *Kernel) SetForcePoll(on bool) { k.forcePoll = on }
 
 // IdleSkipActive reports whether Run may fast-forward: skipping must be
 // enabled and every registered ticker must implement Idler.
@@ -618,7 +621,7 @@ func (k *Kernel) Step() {
 			e.argFn(k.now, e.arg)
 		}
 	}
-	if !k.noSkip && !k.opaque && !forcePoll {
+	if !k.noSkip && !k.opaque && !k.forcePoll {
 		k.stepActive()
 	} else {
 		for _, t := range k.tickers {
@@ -812,7 +815,7 @@ func (k *Kernel) nextWakeHeap(horizon Cycle) Cycle {
 // without moving the clock if anything is due now.
 func (k *Kernel) fastForward(horizon Cycle) {
 	var target Cycle
-	if forcePoll {
+	if k.forcePoll {
 		target = k.nextWakePoll(horizon - 1)
 	} else {
 		target = k.nextWakeHeap(horizon - 1)

@@ -575,9 +575,8 @@ func (s *unboundSleeper) Rearm(at Cycle) {
 // differential suites run the poll reference against the active list.
 func TestWakeHeapRequiresRearm(t *testing.T) {
 	run := func(poll bool) []Cycle {
-		SetForcePoll(poll)
-		defer SetForcePoll(false)
 		var k Kernel
+		k.SetForcePoll(poll)
 		s := &unboundSleeper{}
 		s.wakeAt = sleeperNever
 		k.Register(s)
@@ -905,11 +904,10 @@ func TestWakeHeapMatchesPoll(t *testing.T) {
 		heapSkip
 	)
 	run := func(seed uint64, m mode) (acted [][]Cycle, skipped uint64, now Cycle) {
-		SetForcePoll(m == pollSkip)
-		defer SetForcePoll(false)
 		rng := NewRand(seed)
 		var k Kernel
 		k.SetIdleSkip(m != stepped)
+		k.SetForcePoll(m == pollSkip)
 
 		nFake := 1 + rng.Intn(4)
 		nSleep := 1 + rng.Intn(4)

@@ -14,7 +14,7 @@ import (
 func newIdleEngine() *dma.Engine {
 	var nextID uint64
 	sink := sinkFunc(func(*txn.Transaction, sim.Cycle) {})
-	r := noc.NewRouter("fp", noc.Params{PortDepth: 4, Arb: noc.ArbFCFS}, 1, []noc.Sink{sink}, nil)
+	r := noc.NewRouter("fp", noc.Params{PortDepth: 4, Arb: noc.ArbFCFS}, 1, []noc.Sink{sink}, nil, nil)
 	return dma.New(dma.Config{Name: "fp", Core: "FP", Class: txn.ClassMedia, Window: 1}, 0, &nextID, r.Port(0), 0)
 }
 

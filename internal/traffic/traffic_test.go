@@ -39,7 +39,7 @@ func newHarness(window int, latency sim.Cycle) *harness {
 		h.served++
 		h.inflight = append(h.inflight, pendingTxn{t: t, at: now + h.latency})
 	})
-	h.router = noc.NewRouter("t", noc.Params{PortDepth: 16, Arb: noc.ArbFCFS}, 1, []noc.Sink{sink}, nil)
+	h.router = noc.NewRouter("t", noc.Params{PortDepth: 16, Arb: noc.ArbFCFS}, 1, []noc.Sink{sink}, nil, nil)
 	h.engine = dma.New(dma.Config{
 		Name: "t", Core: "T", Class: txn.ClassMedia, Window: window,
 	}, 0, &h.nextID, h.router.Port(0), 0)

@@ -6,8 +6,6 @@ import (
 	"testing/quick"
 
 	"sara"
-	"sara/internal/dma"
-	"sara/internal/noc"
 	"sara/internal/sim"
 )
 
@@ -33,14 +31,15 @@ func TestNoMissedGrantWindows(t *testing.T) {
 
 		// Event-driven run: record every sleep window and every grant.
 		windows := map[string][]sleepWindow{}
-		noc.SetDebugSleep(func(name string, from, until sim.Cycle) {
+		var fastGrants []tracedGrant
+		fastSys := sara.Build(cfg)
+		fp := fastSys.Probes()
+		fp.Sleep = append(fp.Sleep, func(name string, from, until sim.Cycle) {
 			windows[name] = append(windows[name], sleepWindow{from, until})
 		})
-		var fastGrants []tracedGrant
-		noc.SetDebugGrant(func(name string, now sim.Cycle, port, out int, id uint64) {
+		fp.Grant = append(fp.Grant, func(name string, now sim.Cycle, port, out int, id uint64) {
 			fastGrants = append(fastGrants, tracedGrant{name, now, port, out, id})
 		})
-		fastSys := sara.Build(cfg)
 		fastSys.Run(horizon)
 		// Close each router's trailing window: a router that went dormant
 		// and never scanned again before the horizon — the blocked-on-
@@ -48,24 +47,20 @@ func TestNoMissedGrantWindows(t *testing.T) {
 		for _, r := range fastSys.Routers() {
 			r.FlushSleep(sim.Cycle(horizon))
 		}
-		noc.SetDebugSleep(nil)
-		noc.SetDebugGrant(nil)
 
 		// Stepped force-scan replay: the per-cycle reference grant stream.
-		// The DMA injection-wake cache is bypassed too, so a stale cached
-		// injection hint shifts the replay's grants into a claimed window.
+		// Every dormancy cache is bypassed — router grant windows, DMA
+		// injection wakes and controller buckets — so a stale cached hint
+		// anywhere shifts the replay's grants into a claimed window.
 		var refGrants []tracedGrant
-		noc.SetForceScan(true)
-		dma.SetForceScan(true)
-		noc.SetDebugGrant(func(name string, now sim.Cycle, port, out int, id uint64) {
+		refSys := sara.Build(cfg)
+		refSys.SetForceScan(true)
+		rp := refSys.Probes()
+		rp.Grant = append(rp.Grant, func(name string, now sim.Cycle, port, out int, id uint64) {
 			refGrants = append(refGrants, tracedGrant{name, now, port, out, id})
 		})
-		refSys := sara.Build(cfg)
 		refSys.Kernel().SetIdleSkip(false)
 		refSys.Run(horizon)
-		noc.SetForceScan(false)
-		dma.SetForceScan(false)
-		noc.SetDebugGrant(nil)
 
 		// Windows are emitted in scan order, hence sorted by from.
 		inWindow := func(ws []sleepWindow, c sim.Cycle) bool {

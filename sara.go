@@ -226,7 +226,7 @@ var (
 type Analyzer = analysis.Analyzer
 
 // AnalysisOptions configures an Analyzer: aggregation window, whether the
-// process-global trace edges are tapped, and an optional live publisher.
+// system's trace edges are tapped, and an optional live publisher.
 type AnalysisOptions = analysis.Options
 
 // AnalysisReport is the serialized outcome of one analyzed run.

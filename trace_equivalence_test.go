@@ -4,9 +4,6 @@ import (
 	"testing"
 
 	"sara"
-	"sara/internal/dma"
-	"sara/internal/memctrl"
-	"sara/internal/noc"
 	"sara/internal/sim"
 )
 
@@ -81,7 +78,7 @@ const (
 	// kernel's indexed wake heap.
 	traceSkipHeap
 	// traceSkipPoll is the legacy skipping reference: idle skipping on,
-	// but the fast-forward target computed by the sim.SetForcePoll
+	// but the fast-forward target computed by the Kernel.SetForcePoll
 	// linear sweep over every NextActivity hint. Comparing it against
 	// both other modes isolates wake-heap bugs from hint bugs.
 	traceSkipPoll
@@ -90,36 +87,26 @@ const (
 func runTraced(policy sara.Policy, mode traceMode, refresh bool, cycles sim.Cycle) traces {
 	var tr traces
 	stepped := mode == traceStepped
-	noc.SetForceScan(stepped)
-	memctrl.SetForceScan(stepped)
-	dma.SetForceScan(stepped)
-	sim.SetForcePoll(mode == traceSkipPoll)
-	defer noc.SetForceScan(false)
-	defer memctrl.SetForceScan(false)
-	defer dma.SetForceScan(false)
-	defer sim.SetForcePoll(false)
-	memctrl.SetDebugTrace(func(ch int, now sim.Cycle, id uint64, kind byte) {
-		tr.cmds = append(tr.cmds, tracedCmd{ch, now, id, kind})
-	})
-	dma.SetDebugInject(func(now sim.Cycle, src int, id uint64, addr uint64) {
-		tr.injs = append(tr.injs, tracedInj{now, src, id, addr})
-	})
-	dma.SetDebugWake(func(src int, at sim.Cycle, cause byte) {
-		tr.wakes = append(tr.wakes, tracedWake{src, at, cause})
-	})
-	noc.SetDebugGrant(func(name string, now sim.Cycle, port, out int, id uint64) {
-		tr.grants = append(tr.grants, tracedGrant{name, now, port, out, id})
-	})
-	noc.SetDebugCredit(func(name string, now sim.Cycle, port int, wasFull bool) {
-		tr.credits = append(tr.credits, tracedCredit{name, now, port, wasFull})
-	})
-	defer memctrl.SetDebugTrace(nil)
-	defer dma.SetDebugInject(nil)
-	defer dma.SetDebugWake(nil)
-	defer noc.SetDebugGrant(nil)
-	defer noc.SetDebugCredit(nil)
 	sys := sara.Build(sara.Camcorder(sara.CaseA,
 		sara.WithPolicy(policy), sara.WithRefresh(refresh)))
+	sys.SetForceScan(stepped)
+	sys.Kernel().SetForcePoll(mode == traceSkipPoll)
+	p := sys.Probes()
+	p.Command = append(p.Command, func(ch int, now sim.Cycle, id uint64, kind byte) {
+		tr.cmds = append(tr.cmds, tracedCmd{ch, now, id, kind})
+	})
+	p.Inject = append(p.Inject, func(now sim.Cycle, src int, id uint64, addr uint64) {
+		tr.injs = append(tr.injs, tracedInj{now, src, id, addr})
+	})
+	p.Wake = append(p.Wake, func(src int, at sim.Cycle, cause byte) {
+		tr.wakes = append(tr.wakes, tracedWake{src, at, cause})
+	})
+	p.Grant = append(p.Grant, func(name string, now sim.Cycle, port, out int, id uint64) {
+		tr.grants = append(tr.grants, tracedGrant{name, now, port, out, id})
+	})
+	p.Credit = append(p.Credit, func(name string, now sim.Cycle, port int, wasFull bool) {
+		tr.credits = append(tr.credits, tracedCredit{name, now, port, wasFull})
+	})
 	sys.Kernel().SetIdleSkip(!stepped)
 	sys.Run(cycles)
 	return tr
@@ -224,6 +211,7 @@ func TestIdleSkipTraceEquivalence(t *testing.T) {
 	for _, policy := range []sara.Policy{sara.QoS, sara.FRFCFS} {
 		policy := policy
 		t.Run(policy.String(), func(t *testing.T) {
+			t.Parallel()
 			reproOnFailure(t, "TestIdleSkipTraceEquivalence/"+policy.String())
 			ref := runTraced(policy, traceStepped, false, horizon)
 			compareTraces(t, ref, runTraced(policy, traceSkipHeap, false, horizon))
@@ -241,6 +229,7 @@ func TestIdleSkipTraceEquivalenceRefresh(t *testing.T) {
 	for _, policy := range []sara.Policy{sara.QoS, sara.FRFCFS} {
 		policy := policy
 		t.Run(policy.String(), func(t *testing.T) {
+			t.Parallel()
 			reproOnFailure(t, "TestIdleSkipTraceEquivalenceRefresh/"+policy.String())
 			ref := runTraced(policy, traceStepped, true, horizon)
 			fast := runTraced(policy, traceSkipHeap, true, horizon)
@@ -274,11 +263,11 @@ func TestIdleSkipStallAccounting(t *testing.T) {
 	}
 	run := func(skip bool) map[string][]ev {
 		out := map[string][]ev{}
-		noc.SetDebugStall(func(name string, now sim.Cycle, n uint64, backfill bool) {
+		sys := sara.Build(sara.Camcorder(sara.CaseA, sara.WithPolicy(sara.QoS)))
+		p := sys.Probes()
+		p.Stall = append(p.Stall, func(name string, now sim.Cycle, n uint64, backfill bool) {
 			out[name] = append(out[name], ev{now, n, backfill})
 		})
-		defer noc.SetDebugStall(nil)
-		sys := sara.Build(sara.Camcorder(sara.CaseA, sara.WithPolicy(sara.QoS)))
 		sys.Kernel().SetIdleSkip(skip)
 		sys.RunFrames(2)
 		return out
