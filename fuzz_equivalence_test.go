@@ -177,7 +177,7 @@ type diffResult struct {
 // differential modes: the cycle-stepped force-scan reference (skip=false,
 // with every dormancy cache — router grant windows, controller buckets,
 // DMA injection wakes — bypassed), the event-driven idle-skipping run
-// (skip=true), or the idle-skipping run with the kernel's wake heap
+// (skip=true), or the idle-skipping run with the kernel's wake set
 // replaced by the Kernel.SetForcePoll linear sweep (skip and poll true).
 func captureRun(cfg sara.Config, skip, poll bool, horizon sara.Cycle) diffResult {
 	var res diffResult
@@ -271,7 +271,7 @@ func compareDiff(t *testing.T, seed uint64, ref, fast diffResult) {
 // TestRandomizedSkipVsStepDifferential fuzzes the skip-vs-step boundary
 // across 50 randomized configurations. Every config must produce an
 // identical NoC grant trace, credit trace and aggregate statistics in
-// all three modes — the cycle-stepped force-scan reference, the wake-heap
+// all three modes — the cycle-stepped force-scan reference, the wake-set
 // idle-skipping run, and the SetForcePoll linear-sweep skipping run; the
 // heap run may additionally skip at most as many cycles as the poll run
 // (a trusted stale-early cached bound can cost an extra uneventful
@@ -333,7 +333,7 @@ func TestRandomizedSkipVsStepDifferential(t *testing.T) {
 				// stale-early cached bounds (trusted future keys), so it
 				// can only skip at most what the exact swept minimum
 				// skips; skipping MORE would mean a missed wake.
-				t.Fatalf("config seed %#x: wake heap skipped %d cycles, poll reference only %d",
+				t.Fatalf("config seed %#x: wake set skipped %d cycles, poll reference only %d",
 					seed, fast.skipped, polled.skipped)
 			}
 			mu.Lock()

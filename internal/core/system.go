@@ -550,7 +550,7 @@ func (s *System) SetWatchdog(wd *sim.Watchdog) {
 
 // Outstanding counts transactions that are in flight somewhere in the
 // system — generated but not yet completed, including requests still in
-// DMA pending queues. A fully parked wake heap with Outstanding > 0 is
+// DMA pending queues. A fully parked wake set with Outstanding > 0 is
 // a deadlock (a component dropped a transaction); the kernel watchdog
 // uses this probe to detect it.
 func (s *System) Outstanding() uint64 {

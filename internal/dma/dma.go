@@ -8,7 +8,7 @@
 // Injection is event-driven: the engine caches its next-injection cycle
 // (wakeAt) instead of inspecting its queue, window and port every cycle.
 // The three events that can make an injection possible earlier each
-// re-arm the cache and the kernel's wake heap: a source enqueue
+// re-arm the cache and the kernel's wake set: a source enqueue
 // (Enqueue, kernel entry only — the live-queue Tick gate needs no cache
 // update), a completion freeing a window slot (Deliver), and a credit
 // return from the NoC port it injects into (Wake, wired through
@@ -40,6 +40,47 @@ type request struct {
 	kind txn.Kind
 	addr txn.Addr
 	size uint32
+}
+
+// requestQueue is the pending FIFO: a ring over a power-of-two backing
+// array that doubles when full, the way append grows a slice, so a pop
+// advances the head in O(1) instead of shifting the whole queue. The
+// array is never preallocated to MaxPending: an engine that never
+// queues deeply never pays for it.
+type requestQueue struct {
+	buf  []request
+	head int
+	n    int
+}
+
+// push appends r at the tail.
+//
+//sara:hotpath
+func (q *requestQueue) push(r request) {
+	if q.n == len(q.buf) {
+		q.grow() //sara:alloc-ok the ring doubles up to MaxPending during warm-up, then stops growing
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = r
+	q.n++
+}
+
+// pop removes and returns the head; the queue must not be empty.
+//
+//sara:hotpath
+func (q *requestQueue) pop() request {
+	r := q.buf[q.head]
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	return r
+}
+
+// grow doubles the full ring, unwrapping it so the head lands at 0.
+func (q *requestQueue) grow() {
+	buf := make([]request, max(1, 2*len(q.buf))) //sara:alloc-ok doubling growth bounded by MaxPending, as append's was
+	n := copy(buf, q.buf[q.head:])
+	copy(buf[n:], q.buf[:q.head])
+	q.buf = buf
+	q.head = 0
 }
 
 // Config parameterizes one DMA engine.
@@ -93,7 +134,7 @@ type Engine struct {
 	// now rather than from its own last tick.
 	urgent func(now sim.Cycle) bool
 
-	pending     []request
+	pending     requestQueue
 	outstanding int
 	nextID      *uint64
 
@@ -121,7 +162,7 @@ type Engine struct {
 	onComplete []CompletionFunc
 	stats      Stats
 
-	// kern and srcWake push re-arms into the kernel wake heap, for this
+	// kern and srcWake push re-arms into the kernel wake set, for this
 	// engine and for the traffic source feeding it: a source blocked on
 	// a full pending queue, or waiting on completions (display/camera
 	// in-flight accounting), would otherwise never be re-validated under
@@ -129,7 +170,7 @@ type Engine struct {
 	// activity hint reads completion-mutated state: only those need a
 	// source re-arm per delivery; other sources' hints cannot move
 	// earlier on a completion, and skipping the re-arm keeps the
-	// per-completion path off the wake heap.
+	// per-completion path off the wake set.
 	kern             sim.WakeHandle
 	srcWake          sim.WakeHandle
 	srcWakeOnDeliver bool
@@ -206,7 +247,7 @@ func (e *Engine) BindSourceWake(h sim.WakeHandle, onDeliver bool) {
 }
 
 // rearm records an injection-wake re-arm: the cached cycle, the wake
-// trace, and the engine's kernel wake-heap entry. Both callers must reach
+// trace, and the engine's kernel wake-set entry. Both callers must reach
 // the kernel under the active-ticker list: a port credit return lands
 // after the engine's tick and re-arms the NEXT cycle, and a delivery
 // fires before this cycle's ticks on an engine that may be dormant — in
@@ -233,7 +274,7 @@ func (e *Engine) rearm(at sim.Cycle, cause byte) {
 //
 //sara:hotpath
 func (e *Engine) Wake(at sim.Cycle) {
-	if len(e.pending) == 0 || e.outstanding >= e.cfg.Window {
+	if e.pending.n == 0 || e.outstanding >= e.cfg.Window {
 		return
 	}
 	e.rearm(at, 'C')
@@ -252,10 +293,10 @@ func (e *Engine) Wake(at sim.Cycle) {
 // accounting is settled lazily, and the clearing event re-arms the
 // kernel itself — so the saturated hot path stays one flag test.
 func (e *Engine) Enqueue(kind txn.Kind, addr txn.Addr, size uint32) bool {
-	if len(e.pending) >= e.cfg.MaxPending {
+	if e.pending.n >= e.cfg.MaxPending {
 		return false
 	}
-	e.pending = append(e.pending, request{kind: kind, addr: addr, size: size})
+	e.pending.push(request{kind: kind, addr: addr, size: size})
 	e.stats.Generated++
 	if !e.stalled {
 		// First pending work on an un-blocked engine: make it due now.
@@ -268,10 +309,10 @@ func (e *Engine) Enqueue(kind txn.Kind, addr txn.Addr, size uint32) bool {
 // PendingSpace reports how many more requests Enqueue will accept.
 //
 //sara:hotpath
-func (e *Engine) PendingSpace() int { return e.cfg.MaxPending - len(e.pending) }
+func (e *Engine) PendingSpace() int { return e.cfg.MaxPending - e.pending.n }
 
 // Pending reports the generated-but-not-injected request count.
-func (e *Engine) Pending() int { return len(e.pending) }
+func (e *Engine) Pending() int { return e.pending.n }
 
 // Outstanding reports the injected-but-incomplete transaction count.
 func (e *Engine) Outstanding() int { return e.outstanding }
@@ -300,7 +341,7 @@ func (e *Engine) NextActivity(now sim.Cycle) (sim.Cycle, bool) {
 //
 //sara:hotpath
 func (e *Engine) Tick(now sim.Cycle) {
-	if (len(e.pending) == 0 || e.stalled) && now < e.wakeAt && !e.forceScan {
+	if (e.pending.n == 0 || e.stalled) && now < e.wakeAt && !e.forceScan {
 		// Idle, or dormant while blocked. The live pending check is the
 		// enqueue edge: fresh requests on an un-stalled engine can only
 		// appear on this very cycle (the source ticked just before), so
@@ -318,7 +359,7 @@ func (e *Engine) Tick(now sim.Cycle) {
 		return
 	}
 	e.wakeAt = never
-	if len(e.pending) == 0 && !e.stalled {
+	if e.pending.n == 0 && !e.stalled {
 		return // nothing to inject, no stall accounting to carry
 	}
 	if e.stalled && now > e.lastTick+1 {
@@ -328,9 +369,9 @@ func (e *Engine) Tick(now sim.Cycle) {
 		e.stats.InjectStalls += uint64(now - e.lastTick - 1)
 	}
 	e.lastTick = now
-	wasPendingFull := len(e.pending) == e.cfg.MaxPending
+	wasPendingFull := e.pending.n == e.cfg.MaxPending
 	stalled := false
-	for len(e.pending) > 0 && e.outstanding < e.cfg.Window {
+	for e.pending.n > 0 && e.outstanding < e.cfg.Window {
 		if !e.port.CanAccept() {
 			// Parking port-blocked: arm the lazy credit so the next
 			// full-FIFO pop re-arms the injection wake.
@@ -338,9 +379,7 @@ func (e *Engine) Tick(now sim.Cycle) {
 			stalled = true
 			break
 		}
-		r := e.pending[0]
-		copy(e.pending, e.pending[1:])
-		e.pending = e.pending[:len(e.pending)-1]
+		r := e.pending.pop()
 
 		*e.nextID++
 		var t *txn.Transaction
@@ -370,14 +409,14 @@ func (e *Engine) Tick(now sim.Cycle) {
 		e.outstanding++
 		e.stats.Injected++
 	}
-	if !stalled && len(e.pending) > 0 && e.outstanding >= e.cfg.Window {
+	if !stalled && e.pending.n > 0 && e.outstanding >= e.cfg.Window {
 		stalled = true
 	}
 	if stalled {
 		e.stats.InjectStalls++
 	}
 	e.stalled = stalled
-	if wasPendingFull && len(e.pending) < e.cfg.MaxPending {
+	if wasPendingFull && e.pending.n < e.cfg.MaxPending {
 		// The pending queue popped from full: the source, which ticked
 		// before this engine saw the queue full, can generate again from
 		// the next cycle on.
@@ -407,7 +446,7 @@ func (e *Engine) Deliver(t *txn.Transaction, now sim.Cycle) {
 	for _, fn := range e.onComplete {
 		fn(t, now)
 	}
-	if len(e.pending) > 0 {
+	if e.pending.n > 0 {
 		e.rearm(now, 'D')
 	}
 	if e.srcWakeOnDeliver {

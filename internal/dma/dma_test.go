@@ -250,3 +250,102 @@ func TestInjectionWakeDifferential(t *testing.T) {
 		t.Fatalf("vacuous scenario: %+v", refStats)
 	}
 }
+
+// parkedSource stands in for the traffic source feeding an engine: it
+// never reports activity of its own, so under the active list it is
+// ticked only on cycles its wake handle was re-armed for.
+type parkedSource struct{ ticked []sim.Cycle }
+
+func (s *parkedSource) Tick(now sim.Cycle)                       { s.ticked = append(s.ticked, now) }
+func (s *parkedSource) NextActivity(sim.Cycle) (sim.Cycle, bool) { return 0, false }
+
+// TestPendingQueueLongRun drives an engine for thousands of cycles with
+// random enqueue bursts against a full outstanding window, a shallow
+// sporadically drained port and random completions, so the pending queue
+// sits at MaxPending, wraps and drains over and over. A plain slice FIFO
+// is the model: every injection must carry the model's head address,
+// Enqueue must refuse exactly at MaxPending, Pending/PendingSpace must
+// track the model after every cycle, and the source must be re-armed for
+// exactly the cycles after a tick that popped the queue from full.
+func TestPendingQueueLongRun(t *testing.T) {
+	for _, maxPending := range []int{0, 5, 8} {
+		var model []txn.Addr
+		var injected int
+		probes := &sim.Probes{}
+		probes.Inject = append(probes.Inject, func(_ sim.Cycle, _ int, _ uint64, addr uint64) {
+			if len(model) == 0 || txn.Addr(addr) != model[0] {
+				t.Fatalf("MaxPending %d: injected %#x, model head %v", maxPending, addr, model[:min(1, len(model))])
+			}
+			model = model[1:]
+			injected++
+		})
+		var id uint64
+		var out []*txn.Transaction
+		sink := sinkFunc(func(tr *txn.Transaction) { out = append(out, tr) })
+		router := noc.NewRouter("t", noc.Params{PortDepth: 2, Arb: noc.ArbFCFS}, 1, []noc.Sink{sink}, nil, nil)
+		engine := New(Config{Name: "t", Core: "T", Class: txn.ClassMedia, Window: 3, MaxPending: maxPending, Probes: probes},
+			0, &id, router.Port(0), 0)
+		limit := maxPending
+		if limit == 0 {
+			limit = 6 // 2 * Window
+		}
+
+		var k sim.Kernel
+		src := &parkedSource{}
+		engine.BindSourceWake(k.Register(src), false)
+		k.Step() // the initial validation tick at cycle 0
+
+		rng := sim.NewRand(uint64(limit))
+		next := txn.Addr(0)
+		var wantRearm []sim.Cycle
+		fullHits := 0
+		for now := sim.Cycle(1); now < 6000; now++ {
+			k.Step() // ticks the source iff its wake was re-armed for this cycle
+			if len(out) > 0 && rng.Bool(0.3) {
+				engine.Deliver(out[0], now)
+				out = out[1:]
+			}
+			for range rng.Intn(5) {
+				ok := engine.Enqueue(txn.Read, next, 128)
+				if ok != (len(model) < limit) {
+					t.Fatalf("MaxPending %d cycle %d: Enqueue = %v with %d of %d pending", limit, now, ok, len(model), limit)
+				}
+				if ok {
+					model = append(model, next)
+					next += 64
+				}
+			}
+			wasFull := len(model) == limit
+			if wasFull {
+				fullHits++
+			}
+			engine.Tick(now)
+			if wasFull && len(model) < limit {
+				wantRearm = append(wantRearm, now+1)
+			}
+			if rng.Bool(0.4) {
+				router.Tick(now)
+			}
+			if engine.Pending() != len(model) || engine.PendingSpace() != limit-len(model) {
+				t.Fatalf("MaxPending %d cycle %d: Pending %d PendingSpace %d, model %d of %d",
+					limit, now, engine.Pending(), engine.PendingSpace(), len(model), limit)
+			}
+		}
+		got := src.ticked[1:]
+		if len(wantRearm) > 0 && wantRearm[len(wantRearm)-1] == 6000 {
+			wantRearm = wantRearm[:len(wantRearm)-1] // past the last stepped cycle
+		}
+		if len(got) != len(wantRearm) {
+			t.Fatalf("MaxPending %d: source ticked at %d cycles, want %d re-arms", limit, len(got), len(wantRearm))
+		}
+		for i := range got {
+			if got[i] != wantRearm[i] {
+				t.Fatalf("MaxPending %d: source re-arm %d at cycle %d, want %d", limit, i, got[i], wantRearm[i])
+			}
+		}
+		if st := engine.Stats(); injected < 1000 || fullHits < 100 || len(wantRearm) < 100 || st.InjectStalls == 0 {
+			t.Fatalf("MaxPending %d: vacuous run: %d injected, %d full cycles, %d re-arms, %+v",
+				limit, injected, fullHits, len(wantRearm), st)
+		}
+	}
+}

@@ -39,7 +39,7 @@ type Watchdog struct {
 	CheckEvery uint64
 	// Outstanding reports how much work is still in flight (for a SoC
 	// run: transactions generated but not yet completed). When it is
-	// non-nil and reports > 0 while the wake heap is fully parked at
+	// non-nil and reports > 0 while the wake set is fully parked at
 	// never with no events pending, the run can provably never act
 	// again — the watchdog aborts with a DeadlockError instead of
 	// fast-forwarding to the horizon and returning silently-truncated
@@ -58,15 +58,15 @@ type Watchdog struct {
 const defaultCheckEvery = 4096
 
 // IdlerState is one registered idler's wake state in a DeadlockError
-// diagnostic dump: its cached wake-heap bound and its live NextActivity
+// diagnostic dump: its cached wake-set bound and its live NextActivity
 // answer at the moment the watchdog tripped.
 type IdlerState struct {
-	// ID is the idler's wake-heap id (registration order among idlers).
+	// ID is the idler's wake-set id (registration order among idlers).
 	ID int
 	// Name labels the component: its Name() or Label() if it has one,
 	// otherwise its Go type.
 	Name string
-	// CachedWake is the wake heap's cached lower bound; Parked means the
+	// CachedWake is the wake set's cached lower bound; Parked means the
 	// entry sits at never (the component reported it will not act again
 	// without external input).
 	CachedWake Cycle
@@ -89,7 +89,7 @@ type DeadlockError struct {
 	// Outstanding is the watchdog's Outstanding() answer at the trip
 	// (0 if no probe was configured).
 	Outstanding uint64
-	// Idlers is the wake-state dump, in wake-heap id order.
+	// Idlers is the wake-state dump, in wake-set id order.
 	Idlers []IdlerState
 }
 

@@ -17,17 +17,20 @@
 // Wake scheduling is push-based: the kernel caches each idler's wake
 // cycle, and components re-arm it through the WakeHandle returned by
 // Register whenever an external action moves their next activity to an
-// earlier cycle. Every idler is in exactly one of three places: the due
-// set (a bitset of ids that may act this cycle), a future heap (an
-// indexed min-heap of ids whose wake is later), or parked (no wake until
-// a re-arm). The fast-forward target is read off the heap top once no
-// due id is busy, instead of polling every idler's hint each executed
-// cycle.
+// earlier cycle. Every idler is in exactly one of four places: the due
+// set (a bitset of ids that may act this cycle), a 64-slot timing wheel
+// (a bitset per cycle for wakes less than 64 cycles out), an overflow
+// heap (an indexed min-heap of the farther wakes), or parked (no wake
+// until a re-arm). Sleeps, re-arms and promotions into the due set cost
+// O(1) for wheel wakes, which are nearly all of them, and the
+// fast-forward target — the first occupied slot or the heap top,
+// whichever is earlier — is read off once no due id is busy, instead of
+// polling every idler's hint each executed cycle.
 //
 // Executed cycles use the due set as an active-ticker list: a component
 // is ticked iff its cached wake is at or before the current cycle, and it
 // is re-keyed to its exact next activity right after the tick — staying
-// due when that is the next cycle, so a busy component costs no heap
+// due when that is the next cycle, so a busy component costs no wake-set
 // operation — while dormant components are not even visited. An executed
 // cycle thus pays for the components that are due, not for how many are
 // registered. This changes the Ticker contract
@@ -49,7 +52,7 @@
 // Both are per-Kernel settings, so kernels in one process never see each
 // other's mode: SetIdleSkip(false) restores full cycle-by-cycle stepping
 // (every ticker ticked every cycle, in registration order), and
-// SetForcePoll(true) replaces both the active list and the heap-driven
+// SetForcePoll(true) replaces both the active list and the wake-set-driven
 // fast-forward with the linear NextActivity sweep. The subsystems'
 // force-scan references (dormancy caches bypassed) are per-component
 // too, and trace observers subscribe per system through Probes. Among
@@ -110,8 +113,8 @@ type Settler interface {
 // hint (see wakeSet) and does NOT re-query every hint after every
 // executed cycle; it re-queries an idler only right after ticking it (the
 // active-list re-key) or, during a fast-forward probe, when it is due or
-// its future-heap entry's wake has arrived. The cached entry is therefore required
-// to be a sound LOWER bound on the idler's true next activity at all
+// its cached wake (in the wheel or the overflow heap) has arrived. The
+// cached entry is therefore required to be a sound LOWER bound on the idler's true next activity at all
 // times — doubly important under the active list, where a too-late bound
 // does not merely skip a cycle but skips the component's Tick on cycles
 // other components execute. The responsibility splits in two:
@@ -263,33 +266,57 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
-// wakeEntry is one future-heap slot; keys live inline so sift compares
+// wakeEntry is one overflow-heap slot; keys live inline so sift compares
 // and swaps stay within one contiguous array.
 type wakeEntry struct {
 	at Cycle
 	id int32
 }
 
-// wakeSet is the kernel's wake structure. Every registered idler is in
-// exactly one of three places:
+// wheelSlots is the timing wheel's span in cycles: a wake less than
+// wheelSlots cycles past the first unpromoted cycle is filed in the wheel
+// in O(1); a farther one waits in the overflow heap. Most sleeps in the
+// SoC are a few cycles long (a hop, a DRAM timing gap), so the wheel
+// takes nearly every filing (87% of them over a scale-1 case-B frame)
+// and the heap stays small.
+const wheelSlots = 64
+
+// wakeSet is the kernel's wake structure, a hashed timing wheel with an
+// overflow heap. Every registered idler is in exactly one of four places:
 //
 //   - due: its bit is set in the due bitset — it may act this cycle, so
 //     the active list ticks it and the fast-forward probe queries it;
-//   - the future heap: its cached wake is later than the cycle it was
-//     filed at, and it waits in an indexed min-heap ordered by that wake;
+//   - the wheel: its cached wake lies in [cur, cur+wheelSlots-1], where
+//     cur is the first cycle not yet promoted, and its bit is set in slot
+//     at mod wheelSlots. Anchoring the window at cur rather than at the
+//     filing cycle means no slot ever holds two different cycles, however
+//     far the clock jumps between promotions;
+//   - the overflow heap: its cached wake is farther out, and it waits in
+//     an indexed min-heap ordered by that wake;
 //   - parked: it reported it will never act without external input; it
-//     is in neither, and only a Rearm revives it.
+//     is in none of the above, and only a Rearm revives it.
 //
 // The at mirror holds every id's cached wake (never when parked) and is
-// the single place diagnostics read. An executed cycle therefore costs
-// one bit walk over the due ids plus a heap operation only for ids that
-// go to sleep or wake up.
+// the single place diagnostics read; it also tells a wheel id from a
+// parked one, so pos only needs to track heap membership. An executed
+// cycle therefore costs one bit walk over the due ids, one OR of the
+// current slot into the due set, and a heap operation only for wakes at
+// least wheelSlots cycles out.
 type wakeSet struct {
 	at []Cycle
 	// due holds one bit per id: bit id%64 of word id/64.
 	due []uint64
-	// heap is the future heap; its backing array is sized at registration
-	// (one slot per id) so pushes never grow it during a run.
+	// wheel holds wheelSlots bitsets laid out word-major: word i of slot s
+	// is wheel[i*wheelSlots+s], so registering the 65th id appends a row
+	// instead of re-laying out every slot. occ has bit s set iff slot s
+	// holds any id.
+	wheel []uint64
+	occ   uint64
+	// cur is the first cycle promote has not covered yet; every wheel wake
+	// lies in [cur, cur+wheelSlots-1].
+	cur Cycle
+	// heap is the overflow heap; its backing array is sized at
+	// registration (one slot per id) so pushes never grow it during a run.
 	heap []wakeEntry
 	// pos is each id's index in heap, -1 when the id is not in it.
 	pos []int32
@@ -302,6 +329,7 @@ func (w *wakeSet) add(id int) {
 	w.pos = append(w.pos, -1)
 	if id%64 == 0 {
 		w.due = append(w.due, 0)
+		w.wheel = append(w.wheel, make([]uint64, wheelSlots)...)
 	}
 	w.setDue(id)
 	w.heap = slices.Grow(w.heap, len(w.at)-len(w.heap))
@@ -313,31 +341,38 @@ func (w *wakeSet) clearDue(id int)   { w.due[id>>6] &^= 1 << (id & 63) }
 
 // rearm lowers id's cached wake to c (decrease-key); c at or above the
 // cached wake is dropped. A wake at or before now makes the id due; a
-// later one files it in the future heap. A due id stays due: its cached
-// wake is at most one cycle ahead, so any lower wake is due as well.
+// later one is taken out of the wheel slot or heap position it held and
+// filed again at c, so an overflow id re-armed to a near wake moves into
+// the wheel. A due id stays due: its cached wake is at most one cycle
+// ahead, so any lower wake is due as well.
+//
+//sara:hotpath
 func (w *wakeSet) rearm(id int, c, now Cycle) {
-	if c >= w.at[id] {
+	old := w.at[id]
+	if c >= old {
 		return
 	}
 	w.at[id] = c
 	switch {
 	case w.isDue(id):
 	case c <= now:
-		if w.pos[id] >= 0 {
-			w.remove(id)
-		}
+		w.unfile(id, old)
 		w.setDue(id)
-	case w.pos[id] >= 0:
+	case w.pos[id] >= 0 && c-w.cur >= wheelSlots:
 		i := int(w.pos[id])
 		w.heap[i].at = c
 		w.siftUp(i)
 	default:
-		w.push(id, c)
+		w.unfile(id, old)
+		w.file(id, c)
 	}
 }
 
 // sleep files a due id whose next activity is later than the current
-// cycle: into the future heap at c, or parked when ok is false.
+// cycle: at c in the wheel or the overflow heap, or parked when ok is
+// false.
+//
+//sara:hotpath
 func (w *wakeSet) sleep(id int, c Cycle, ok bool) {
 	w.clearDue(id)
 	if !ok {
@@ -345,15 +380,102 @@ func (w *wakeSet) sleep(id int, c Cycle, ok bool) {
 		return
 	}
 	w.at[id] = c
-	w.push(id, c)
+	w.file(id, c)
 }
 
-// promote moves every heap entry whose wake has arrived by now into the
-// due set.
+// file puts id, which is in neither the wheel nor the heap, at wake
+// c >= cur: into slot c mod wheelSlots when c is inside the wheel's
+// window, into the overflow heap otherwise.
+//
+//sara:hotpath
+func (w *wakeSet) file(id int, c Cycle) {
+	if c-w.cur >= wheelSlots {
+		w.push(id, c)
+		return
+	}
+	s := int(c % wheelSlots)
+	w.wheel[(id>>6)*wheelSlots+s] |= 1 << (id & 63)
+	w.occ |= 1 << s
+}
+
+// unfile takes a sleeping id with cached wake old out of the heap or its
+// wheel slot; a parked id (old == never) is in neither.
+//
+//sara:hotpath
+func (w *wakeSet) unfile(id int, old Cycle) {
+	if w.pos[id] >= 0 {
+		w.remove(id)
+		return
+	}
+	if old == never {
+		return
+	}
+	s := int(old % wheelSlots)
+	w.wheel[(id>>6)*wheelSlots+s] &^= 1 << (id & 63)
+	for i := s; i < len(w.wheel); i += wheelSlots {
+		if w.wheel[i] != 0 {
+			return
+		}
+	}
+	w.occ &^= 1 << s
+}
+
+// promote moves every wake that has arrived by now into the due set:
+// overflow entries with at <= now, and the wheel slots of the cycles
+// [cur, now]. The clock can move more than one cycle between promotions
+// (a fast-forward, a stepped stretch between runs), so every occupied
+// slot of that range is swept, all of them once it spans the wheel;
+// because wheel wakes never lie before cur, a swept slot holds only
+// arrived wakes.
+//
+//sara:hotpath
 func (w *wakeSet) promote(now Cycle) {
 	for len(w.heap) > 0 && w.heap[0].at <= now {
 		w.setDue(w.popMin())
 	}
+	if now < w.cur {
+		return
+	}
+	if w.occ != 0 {
+		m := w.occ
+		if span := now - w.cur + 1; span < wheelSlots {
+			m &= bits.RotateLeft64(1<<span-1, int(w.cur%wheelSlots))
+		}
+		for ; m != 0; m &= m - 1 {
+			w.drain(bits.TrailingZeros64(m))
+		}
+	}
+	w.cur = now + 1
+}
+
+// drain moves every id in wheel slot s into the due set.
+//
+//sara:hotpath
+func (w *wakeSet) drain(s int) {
+	for i := range w.due {
+		j := i*wheelSlots + s
+		w.due[i] |= w.wheel[j]
+		w.wheel[j] = 0
+	}
+	w.occ &^= 1 << s
+}
+
+// first reports the earliest cached wake in the wheel or the overflow
+// heap, never when both are empty. The wheel's earliest wake is the first
+// occupied slot at or after cur's, found by rotating occ so cur's slot is
+// bit 0.
+//
+//sara:hotpath
+func (w *wakeSet) first() Cycle {
+	t := never
+	if w.occ != 0 {
+		r := bits.RotateLeft64(w.occ, -int(w.cur%wheelSlots))
+		t = w.cur + Cycle(bits.TrailingZeros64(r))
+	}
+	if len(w.heap) > 0 && w.heap[0].at < t {
+		t = w.heap[0].at
+	}
+	return t
 }
 
 // popMin removes the heap top and returns its id. It pops bottom-up: the
@@ -525,11 +647,12 @@ func (k *Kernel) IdleSkipActive() bool { return !k.noSkip && !k.opaque }
 // Register appends t to the per-cycle tick list and returns t's wake
 // handle. Components are ticked in registration order, which the SoC
 // assembly uses to realize the pipeline order sources -> DMAs -> NoC ->
-// MC -> DRAM -> responses -> adapters; the future heap orders itself by
-// cached wake cycle, so registration order never affects fast-forward
-// targets. If t implements WakeBinder the handle is also pushed into the
-// component here, so assemblies get push wiring for free. Tickers that do
-// not implement Idler receive an inert handle (and disable skipping).
+// MC -> DRAM -> responses -> adapters; the wheel and overflow heap order
+// themselves by cached wake cycle, so registration order never affects
+// fast-forward targets. If t implements WakeBinder the handle is also
+// pushed into the component here, so assemblies get push wiring for free.
+// Tickers that do not implement Idler receive an inert handle (and
+// disable skipping).
 // Register panics if the simulation has already started, because
 // inserting a ticker mid-run would silently skip its earlier cycles.
 func (k *Kernel) Register(t Ticker) WakeHandle {
@@ -631,15 +754,17 @@ func (k *Kernel) Step() {
 	k.now++
 }
 
-// stepActive is Step's tick loop in active-list mode. It first moves
-// future-heap entries whose wake has arrived into the due set, then ticks
-// the due ids in ascending id order — registration order — and re-keys
-// each from its exact next activity: a wake at or before the next cycle
-// stays due with no heap operation, a later one goes into the heap, and
-// ok=false parks the id. The current bitset word is re-read after every
-// tick, so same-cycle forward edges work: a source enqueueing into a
-// dormant engine re-arms the engine at now, which sets its due bit, and
-// the walk reaches it later this cycle. Backward same-cycle edges need no
+// stepActive is Step's tick loop in active-list mode. It first promotes
+// the wakes that have arrived (the current wheel slot, plus any overflow
+// entries due) into the due set, then ticks the due ids in ascending id
+// order — registration order — and re-keys each from its exact next
+// activity: a wake at or before the next cycle stays due with no
+// wake-set operation, a later one goes into its wheel slot (or the
+// overflow heap when 64 or more cycles out), and ok=false parks the id.
+// The current bitset word is re-read after every tick, so same-cycle
+// forward edges work: a source enqueueing into a dormant engine re-arms
+// the engine at now, which sets its due bit, and the walk reaches it
+// later this cycle. Backward same-cycle edges need no
 // tick: a stepped run's earlier-registered component had already ticked
 // when the edge fired, so both modes first act on it the next cycle (the
 // re-arm leaves the id due for then). Because every ticked id is re-keyed
@@ -744,18 +869,22 @@ func (k *Kernel) nextWakePoll(horizon Cycle) Cycle {
 }
 
 // nextWakeHeap computes the fast-forward target from the wake set: the
-// next due event, or the earliest cached wake, capped at horizon. Only
-// due ids and heap entries whose wake has arrived are re-queried; the
-// first one that is busy now answers "now" and stays due. The others
-// sleep at their exact next activity or park. A FUTURE cached wake is
-// trusted without a query: every cached wake is a sound lower bound, so
-// skipping to the heap minimum can never skip past real activity — at
-// worst a stale-early bound wakes the kernel for one uneventful executed
-// cycle, whose probe then raises it. That trade (a rare extra cycle
-// instead of validating every future bound per probe) keeps the probe
-// O(1) once nothing is due; under SetForcePoll the linear reference
-// instead computes the exact swept minimum, so the poll reference may
-// skip slightly more while observable behavior stays bit-identical.
+// next due event, or the earliest cached wake, capped at horizon. It first
+// promotes the wakes that have arrived (the slot of now and overflow
+// entries at or before now), then re-queries only the due ids; the first
+// one that is busy now answers "now" and stays due. The others sleep at
+// their exact next activity or park. A FUTURE cached wake is trusted
+// without a query: every cached wake is a sound lower bound, so skipping
+// to the earliest one can never skip past real activity — at worst a
+// stale-early bound wakes the kernel for one uneventful executed cycle,
+// whose probe then raises it. That trade (a rare extra cycle instead of
+// validating every future bound per probe) keeps the probe O(1) once
+// nothing is due: the earliest wake is the first occupied wheel slot or
+// the overflow-heap top. Under SetForcePoll the linear reference instead
+// computes the exact swept minimum, so the poll reference may skip
+// slightly more while observable behavior stays bit-identical.
+//
+//sara:hotpath
 func (k *Kernel) nextWakeHeap(horizon Cycle) Cycle {
 	now := k.now
 	target := horizon
@@ -769,6 +898,7 @@ func (k *Kernel) nextWakeHeap(horizon Cycle) Cycle {
 		}
 	}
 	w := &k.wakes
+	w.promote(now)
 	for wi := range w.due {
 		for word := w.due[wi]; word != 0; word &= word - 1 {
 			id := wi<<6 | bits.TrailingZeros64(word)
@@ -779,28 +909,8 @@ func (k *Kernel) nextWakeHeap(horizon Cycle) Cycle {
 			w.sleep(id, next, ok)
 		}
 	}
-	for len(w.heap) > 0 {
-		top := w.heap[0]
-		if top.at > now {
-			if top.at < target {
-				target = top.at
-			}
-			break
-		}
-		id := int(top.id)
-		next, ok := k.idlers[id].NextActivity(now)
-		switch {
-		case ok && next <= now:
-			w.setDue(w.popMin())
-			return now
-		case ok:
-			w.at[id] = next
-			w.heap[0].at = next
-			w.siftDown(0)
-		default:
-			w.popMin()
-			w.at[id] = never
-		}
+	if at := w.first(); at < target {
+		target = at
 	}
 	return target
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -567,13 +568,13 @@ func (s *unboundSleeper) Rearm(at Cycle) {
 	}
 }
 
-// TestWakeHeapRequiresRearm documents the contract inversion: a cached
+// TestWakeSetRequiresRearm documents the contract inversion: a cached
 // component whose external wakes are NOT pushed through its WakeHandle is
 // handled correctly by the SetForcePoll linear reference (which re-reads
 // every hint each executed cycle) but missed by the active-list kernel —
 // that gap is exactly why BindWake forwarding is mandatory, and why the
 // differential suites run the poll reference against the active list.
-func TestWakeHeapRequiresRearm(t *testing.T) {
+func TestWakeSetRequiresRearm(t *testing.T) {
 	run := func(poll bool) []Cycle {
 		var k Kernel
 		k.SetForcePoll(poll)
@@ -748,37 +749,65 @@ func TestKernelSettlesOnRunExit(t *testing.T) {
 	}
 }
 
-// TestWakeHeapDecreaseKey exercises the wake set directly: re-arms are
-// decrease-key (position-tracked, no duplicate entries), a re-arm at or
-// before now moves a sleeping id from the future heap into the due set,
-// and the heap top always tracks the minimum future wake.
-func TestWakeHeapDecreaseKey(t *testing.T) {
+// TestWakeSetDecreaseKey exercises the wake set directly: re-arms are
+// decrease-key (position-tracked, no duplicate entries), a far wake waits
+// in the overflow heap while a near one sits in its wheel slot, a re-arm
+// moves an overflow id into the wheel and a wheel id between slots, a
+// re-arm at or before now makes a sleeping id due, and first always
+// reports the earliest filed wake.
+func TestWakeSetDecreaseKey(t *testing.T) {
 	var w wakeSet
 	for id := 0; id < 8; id++ {
 		w.add(id)
 		w.sleep(id, Cycle(100+10*id), true)
 	}
-	if top := w.heap[0]; top.id != 0 || top.at != 100 {
-		t.Fatalf("top (%d, %d), want (0, 100)", top.id, top.at)
+	if top := w.heap[0]; top.id != 0 || top.at != 100 || w.occ != 0 {
+		t.Fatalf("top (%d, %d), occ %#x, want (0, 100) and an empty wheel", top.id, top.at, w.occ)
 	}
-	// Decrease-key a deep entry to the top.
+	// Decrease-key a deep overflow entry to the top, still out of the
+	// wheel's reach (cur is 0, the window [0, 63]).
+	w.rearm(7, wheelSlots, 0)
+	if top := w.heap[0]; top.id != 7 || top.at != wheelSlots || w.first() != wheelSlots {
+		t.Fatalf("after decrease-key top (%d, %d), first %d, want (7, %d)", top.id, top.at, w.first(), wheelSlots)
+	}
+	// One cycle nearer lands in the wheel's last slot: out of the heap,
+	// into slot 63.
+	w.rearm(7, wheelSlots-1, 0)
+	if w.pos[7] != -1 || w.wheel[wheelSlots-1] != 1<<7 || w.occ != 1<<(wheelSlots-1) || w.first() != wheelSlots-1 {
+		t.Fatalf("overflow->wheel: pos %d slot %#x occ %#x first %d", w.pos[7], w.wheel[wheelSlots-1], w.occ, w.first())
+	}
+	// Wheel to wheel: the old slot empties and its occupancy bit clears.
 	w.rearm(7, 5, 0)
-	if top := w.heap[0]; top.id != 7 || top.at != 5 {
-		t.Fatalf("after decrease-key top (%d, %d), want (7, 5)", top.id, top.at)
+	if w.wheel[wheelSlots-1] != 0 || w.wheel[5] != 1<<7 || w.occ != 1<<5 || w.first() != 5 {
+		t.Fatalf("wheel->wheel: slot 63 %#x slot 5 %#x occ %#x first %d", w.wheel[wheelSlots-1], w.wheel[5], w.occ, w.first())
 	}
-	// A wake at or before now leaves the heap for the due set; the old
+	// A wake at or before now leaves the wheel for the due set; the old
 	// minimum resurfaces.
 	w.rearm(7, 3, 3)
-	if !w.isDue(7) || w.pos[7] != -1 || w.at[7] != 3 {
-		t.Fatalf("re-armed id 7: due=%v pos=%d at=%d, want due, -1, 3", w.isDue(7), w.pos[7], w.at[7])
+	if !w.isDue(7) || w.pos[7] != -1 || w.at[7] != 3 || w.occ != 0 {
+		t.Fatalf("re-armed id 7: due=%v pos=%d at=%d occ=%#x, want due, -1, 3, 0", w.isDue(7), w.pos[7], w.at[7], w.occ)
 	}
-	if top := w.heap[0]; top.id != 0 || top.at != 100 {
-		t.Fatalf("after promotion top (%d, %d), want (0, 100)", top.id, top.at)
+	if top := w.heap[0]; top.id != 0 || top.at != 100 || w.first() != 100 {
+		t.Fatalf("after promotion top (%d, %d), first %d, want (0, 100)", top.id, top.at, w.first())
 	}
 	// An increase is dropped.
 	w.rearm(0, 400, 3)
 	if w.at[0] != 100 {
 		t.Fatalf("rearm raised id 0 to %d; increases must be lazy", w.at[0])
+	}
+	if err := checkWakeSet(&w); err != "" {
+		t.Fatal(err)
+	}
+	// Promotion moves the window: once cur passes 36, the heap's 100 is
+	// within wheelSlots of it, but it stays in the heap until it arrives
+	// or a re-arm moves it.
+	w.promote(40)
+	if w.cur != 41 || w.pos[0] != 0 || w.first() != 100 {
+		t.Fatalf("after promote(40): cur %d pos[0] %d first %d", w.cur, w.pos[0], w.first())
+	}
+	w.rearm(0, 99, 40)
+	if w.pos[0] != -1 || w.occ != 1<<(99%wheelSlots) || w.first() != 99 {
+		t.Fatalf("in-window re-arm of an overflow id: pos %d occ %#x first %d", w.pos[0], w.occ, w.first())
 	}
 	if err := checkWakeSet(&w); err != "" {
 		t.Fatal(err)
@@ -793,10 +822,16 @@ func TestWakeHeapDecreaseKey(t *testing.T) {
 }
 
 // checkWakeSet reports the first broken wake-set invariant, or "": every
-// id is in exactly one of due, the future heap or parked; the heap is
-// min-ordered with exact pos tracking; and the at mirror agrees with the
-// heap keys and holds never exactly for parked ids.
+// id is in exactly one of due, the wheel, the overflow heap or parked; a
+// wheel id sits in slot at mod wheelSlots with its wake in the window
+// [cur, cur+wheelSlots-1], so no slot holds two cycles; occ marks exactly
+// the non-empty slots; the heap is min-ordered with exact pos tracking;
+// and the at mirror agrees with the heap keys and holds never exactly for
+// parked ids.
 func checkWakeSet(w *wakeSet) string {
+	if len(w.wheel) != len(w.due)*wheelSlots {
+		return fmt.Sprintf("wheel has %d words for %d due words", len(w.wheel), len(w.due))
+	}
 	for i, e := range w.heap {
 		if p := (i - 1) / 2; i > 0 && w.heap[p].at > e.at {
 			return fmt.Sprintf("heap violation at %d: parent %d > child %d", i, w.heap[p].at, e.at)
@@ -808,20 +843,52 @@ func checkWakeSet(w *wakeSet) string {
 			return fmt.Sprintf("at[%d] = %d, heap entry holds %d", e.id, w.at[e.id], e.at)
 		}
 	}
+	slots := make([]int, len(w.at)) // wheel slots holding each id
+	slot := make([]int, len(w.at))  // the last of them
+	for s := 0; s < wheelSlots; s++ {
+		used := false
+		for i := range w.due {
+			for word := w.wheel[i*wheelSlots+s]; word != 0; word &= word - 1 {
+				id := i<<6 | bits.TrailingZeros64(word)
+				if id >= len(w.at) {
+					return fmt.Sprintf("slot %d holds unregistered id %d", s, id)
+				}
+				slots[id]++
+				slot[id] = s
+				used = true
+			}
+		}
+		if used != (w.occ&(1<<s) != 0) {
+			return fmt.Sprintf("slot %d non-empty=%v but occ bit %v", s, used, !used)
+		}
+	}
 	for id := range w.at {
 		inHeap := w.pos[id] >= 0
 		if inHeap && (int(w.pos[id]) >= len(w.heap) || w.heap[w.pos[id]].id != int32(id)) {
 			return fmt.Sprintf("pos[%d] = %d points at a foreign entry", id, w.pos[id])
 		}
-		parked := !w.isDue(id) && !inHeap
-		places := 0
+		if !inHeap && w.pos[id] != -1 {
+			return fmt.Sprintf("pos[%d] = %d, want -1 outside the heap", id, w.pos[id])
+		}
+		inWheel := slots[id] > 0
+		parked := !w.isDue(id) && !inHeap && !inWheel
+		places := slots[id]
 		for _, in := range []bool{w.isDue(id), inHeap, parked} {
 			if in {
 				places++
 			}
 		}
 		if places != 1 {
-			return fmt.Sprintf("id %d in %d places (due=%v heap=%v)", id, places, w.isDue(id), inHeap)
+			return fmt.Sprintf("id %d in %d places (due=%v heap=%v wheel slots=%d)", id, places, w.isDue(id), inHeap, slots[id])
+		}
+		if inWheel {
+			at := w.at[id]
+			if slot[id] != int(at%wheelSlots) {
+				return fmt.Sprintf("id %d wakes at %d but sits in slot %d, want %d", id, at, slot[id], at%wheelSlots)
+			}
+			if at < w.cur || at-w.cur >= wheelSlots {
+				return fmt.Sprintf("id %d wakes at %d outside the wheel window [%d, %d]", id, at, w.cur, w.cur+wheelSlots-1)
+			}
 		}
 		if parked != (w.at[id] == never) {
 			return fmt.Sprintf("id %d parked=%v with cached wake %d", id, parked, w.at[id])
@@ -830,10 +897,10 @@ func checkWakeSet(w *wakeSet) string {
 	return ""
 }
 
-// TestWakeHeapNeverIsNotUnregister pins the park-at-never semantics: an
+// TestWakeSetNeverIsNotUnregister pins the park-at-never semantics: an
 // idler that reports ok=false stays in the heap (its entry is parked at
 // never, not removed) and a later Rearm revives it.
-func TestWakeHeapNeverIsNotUnregister(t *testing.T) {
+func TestWakeSetNeverIsNotUnregister(t *testing.T) {
 	var k Kernel
 	s := &cachedSleeper{wakeAt: sleeperNever} // never acts on its own
 	k.Register(s)
@@ -852,7 +919,7 @@ func TestWakeHeapNeverIsNotUnregister(t *testing.T) {
 
 // TestKernelRegistrationOrderIrrelevantForSkipping pins the fix for the
 // old one-time idler reversal in Run: fast-forward targets come off the
-// wake heap, so registration order affects tick order (as documented)
+// wake set, so registration order affects tick order (as documented)
 // and nothing else.
 func TestKernelRegistrationOrderIrrelevantForSkipping(t *testing.T) {
 	mk := func(reverse bool) (acted [][]Cycle, skipped uint64) {
@@ -889,13 +956,17 @@ func TestKernelRegistrationOrderIrrelevantForSkipping(t *testing.T) {
 	}
 }
 
-// TestWakeHeapMatchesPoll is the kernel-level differential property: a
+// TestWakeSetMatchesPoll is the kernel-level differential property: a
 // random population of self-timed idlers (stale-early cached bounds
 // after every act) and cached sleepers re-armed by random external
 // events must act on exactly the same cycles — and skip exactly the same
-// stretches — under the wake heap as under the SetForcePoll linear
-// reference and the cycle-stepped run.
-func TestWakeHeapMatchesPoll(t *testing.T) {
+// stretches — under the wake set as under the SetForcePoll linear
+// reference and the cycle-stepped run. Wake gaps include the wheel's
+// edge (63, 64 and 65 cycles) and far overflow sleeps, and the skipping
+// runs are split into Run segments with a stepped middle segment
+// (SetIdleSkip toggled between runs), so the wheel sees clock jumps with
+// wakes filed but never promoted.
+func TestWakeSetMatchesPoll(t *testing.T) {
 	const horizon = 3000
 	type mode int
 	const (
@@ -916,7 +987,11 @@ func TestWakeHeapMatchesPoll(t *testing.T) {
 			var wakes []Cycle
 			at := Cycle(0)
 			for j := 0; j < 1+rng.Intn(12); j++ {
-				at += Cycle(1 + rng.Intn(500))
+				if rng.Bool(0.3) {
+					at += wheelSlots - 1 + Cycle(rng.Intn(3))
+				} else {
+					at += Cycle(1 + rng.Intn(500))
+				}
 				wakes = append(wakes, at)
 			}
 			f := &fakeIdler{wakes: wakes}
@@ -932,10 +1007,21 @@ func TestWakeHeapMatchesPoll(t *testing.T) {
 			for j := 0; j < rng.Intn(6); j++ {
 				at := Cycle(rng.Intn(horizon))
 				delay := Cycle(rng.Intn(40))
+				if rng.Bool(0.3) {
+					delay = wheelSlots - 1 + Cycle(rng.Intn(3))
+				}
 				k.At(at, func(now Cycle) { s.Rearm(now + delay) })
 			}
 			report = append(report, func() []Cycle { return s.acted })
 		}
+		// Segment boundaries: skip, stepped, skip (the stepped reference
+		// steps all three).
+		cut1 := Cycle(1 + rng.Intn(horizon/2))
+		cut2 := cut1 + Cycle(rng.Intn(horizon/4))
+		k.Run(cut1)
+		k.SetIdleSkip(false)
+		k.Run(cut2)
+		k.SetIdleSkip(m != stepped)
 		k.Run(horizon)
 		acted = make([][]Cycle, len(report))
 		for i, f := range report {
@@ -969,11 +1055,11 @@ func TestWakeHeapMatchesPoll(t *testing.T) {
 			return false
 		}
 		if !same(ref, heap) {
-			t.Errorf("seed %#x: wake heap diverged from stepped run: %v vs %v", seed, heap, ref)
+			t.Errorf("seed %#x: wake set diverged from stepped run: %v vs %v", seed, heap, ref)
 			return false
 		}
 		if pollSkipped != heapSkipped {
-			t.Errorf("seed %#x: poll skipped %d cycles, heap skipped %d — the heap target must equal the swept minimum",
+			t.Errorf("seed %#x: poll skipped %d cycles, wake set skipped %d — the wake-set target must equal the swept minimum",
 				seed, pollSkipped, heapSkipped)
 			return false
 		}
@@ -988,13 +1074,17 @@ func TestWakeHeapMatchesPoll(t *testing.T) {
 	}
 }
 
-// TestWakeHeapInvariant fuzzes the wake set over up to 160 ids (three
+// TestWakeSetInvariant fuzzes the wake set over up to 160 ids (three
 // bitset words) with the kernel's operation mix — re-arms at, before and
-// after now, active-list re-keys of due ids (stay due, sleep, park) and
-// promotions of arrived heap entries as the clock advances — and checks
-// the full invariant (checkWakeSet) after every operation, plus the
-// decrease-key rule against a plain mirror of expected wakes.
-func TestWakeHeapInvariant(t *testing.T) {
+// after now (near, far and exactly at the wheel's edge), active-list
+// re-keys of due ids (stay due, sleep near or far, park) and promotions
+// as the clock advances one cycle at a time, jumps to the earliest filed
+// wake as a fast-forward does, or jumps arbitrarily far as a stepped
+// stretch between runs does — and checks the full invariant
+// (checkWakeSet) after every operation, plus the decrease-key rule
+// against a plain mirror of expected wakes, first() against the mirror's
+// minimum, and that a promotion leaves no arrived wake behind.
+func TestWakeSetInvariant(t *testing.T) {
 	prop := func(seed uint64) bool {
 		rng := NewRand(seed)
 		var w wakeSet
@@ -1003,12 +1093,25 @@ func TestWakeHeapInvariant(t *testing.T) {
 		for id := 0; id < n; id++ {
 			w.add(id)
 		}
+		// ahead draws a wake distance: mostly near, sometimes at the
+		// wheel's edge relative to now (the window starts at cur = now+1
+		// after a promotion), sometimes far into the overflow heap.
+		ahead := func() Cycle {
+			switch r := rng.Intn(8); {
+			case r < 4:
+				return 1 + Cycle(rng.Intn(40))
+			case r < 6:
+				return wheelSlots - 1 + Cycle(rng.Intn(3))
+			default:
+				return 1 + Cycle(rng.Intn(4096))
+			}
+		}
 		now := Cycle(0)
 		for op := 0; op < 20*n; op++ {
-			switch r := rng.Intn(10); {
+			switch r := rng.Intn(12); {
 			case r < 4:
 				id := rng.Intn(n)
-				c := now + Cycle(rng.Intn(60))
+				c := now + ahead()
 				if rng.Bool(0.3) && now > 0 {
 					c = now - Cycle(rng.Intn(int(min(now, 10))))
 				}
@@ -1022,7 +1125,7 @@ func TestWakeHeapInvariant(t *testing.T) {
 					if !w.isDue(id) {
 						continue
 					}
-					next := now + 1 + Cycle(rng.Intn(40))
+					next := now + ahead()
 					ok := rng.Bool(0.8)
 					if ok && next <= now+1 {
 						w.at[id] = next
@@ -1033,11 +1136,22 @@ func TestWakeHeapInvariant(t *testing.T) {
 					break
 				}
 			default:
-				now += Cycle(rng.Intn(30))
+				switch r {
+				case 8, 9:
+					now++
+				case 10:
+					// A fast-forward: straight to the earliest filed wake.
+					if f := w.first(); f != never && f > now {
+						now = f
+					}
+				default:
+					// A stepped stretch: no promotion for a while.
+					now += Cycle(rng.Intn(3 * wheelSlots))
+				}
 				w.promote(now)
-				for _, e := range w.heap {
-					if e.at <= now {
-						t.Errorf("seed %#x: id %d at %d left in the heap at %d", seed, e.id, e.at, now)
+				for id := range want {
+					if !w.isDue(id) && w.at[id] <= now {
+						t.Errorf("seed %#x: id %d at %d left filed after promote(%d)", seed, id, w.at[id], now)
 						return false
 					}
 				}
@@ -1046,16 +1160,28 @@ func TestWakeHeapInvariant(t *testing.T) {
 				t.Errorf("seed %#x op %d: %s", seed, op, err)
 				return false
 			}
+			first := never
 			for id := range want {
 				if w.at[id] != want[id] {
 					t.Errorf("seed %#x op %d: at[%d] = %d, want %d", seed, op, id, w.at[id], want[id])
 					return false
 				}
+				if !w.isDue(id) && want[id] < first {
+					first = want[id]
+				}
+			}
+			if got := w.first(); got != first {
+				t.Errorf("seed %#x op %d: first() = %d, want %d", seed, op, got, first)
+				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+	cfg := &quick.Config{MaxCount: 200}
+	if testing.Short() {
+		cfg.MaxCount = 50
+	}
+	if err := quick.Check(prop, cfg); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -47,7 +47,7 @@ type tracedCredit struct {
 // cached next-injection cycle to at because of cause ('D' delivery, 'C'
 // port credit). Enqueues are not part of this stream: they leave the
 // engine's cached wake alone — the Tick gate reads the live queue — and
-// only nudge the kernel's wake-heap entry so the active-ticker list runs
+// only nudge the kernel's wake-set entry so the active-ticker list runs
 // that Tick in the enqueue cycle. The re-arm stream is pure behavior, so
 // a stale or missing wake diverges it instead of silently stalling a
 // core.
@@ -75,12 +75,12 @@ const (
 	// diverges the trace instead of being shared by both modes.
 	traceStepped traceMode = iota
 	// traceSkipHeap is the production path: idle skipping driven by the
-	// kernel's indexed wake heap.
+	// kernel's wake set (timing wheel plus overflow heap).
 	traceSkipHeap
 	// traceSkipPoll is the legacy skipping reference: idle skipping on,
 	// but the fast-forward target computed by the Kernel.SetForcePoll
 	// linear sweep over every NextActivity hint. Comparing it against
-	// both other modes isolates wake-heap bugs from hint bugs.
+	// both other modes isolates wake-set bugs from hint bugs.
 	traceSkipPoll
 )
 
@@ -202,7 +202,7 @@ func compareTraces(t *testing.T, ref, fast traces) {
 }
 
 // TestIdleSkipTraceEquivalence asserts that the idle-skipping kernel —
-// wake heap and linear-poll reference alike — issues the exact same DRAM
+// wake set and linear-poll reference alike — issues the exact same DRAM
 // command stream, DMA injection stream, injection-wake stream and NoC
 // arbitration grant stream — same transactions, same cycles, same order —
 // as the cycle-stepped force-scan reference.
