@@ -24,6 +24,19 @@ func TestSteadyStateAllocations(t *testing.T) {
 	if allocs > 2 {
 		t.Fatalf("steady state allocates %.1f times per %d cycles, want <= 2", allocs, cyclesPerRun)
 	}
+
+	// Armed: a watched run shares the production loop, so the watchdog's
+	// periodic checks (budget, parked scan, Outstanding probe) must not
+	// allocate either.
+	sys.SetWatchdog(&sara.Watchdog{MaxExecuted: 1 << 40, Outstanding: sys.Outstanding})
+	allocs = testing.AllocsPerRun(50, func() {
+		if err := sys.RunChecked(cyclesPerRun); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("watchdog-armed steady state allocates %.1f times per %d cycles, want 0", allocs, cyclesPerRun)
+	}
 }
 
 // TestSteadyStateAllocationsRefresh pins the refresh-enabled hot path:

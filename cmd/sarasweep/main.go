@@ -20,7 +20,7 @@
 // dump instead of spinning); -journal appends completed cells of the
 // seeds and cell sweeps to a JSONL checkpoint, and -resume serves
 // journaled cells from it, so an interrupted fan-out picks up where it
-// died. All four are zero-cost when left at their defaults.
+// died. Left at their defaults, they arm no watchdog and open no journal.
 package main
 
 import (
@@ -265,16 +265,6 @@ func (o cliOptions) build(cfg core.Config) *core.System {
 	return sys
 }
 
-// runFrames advances sys by k frames, through the checked entry point
-// when a budget is armed and the plain zero-overhead run otherwise.
-func (o cliOptions) runFrames(sys *core.System, k int) error {
-	if o.opt.Timeout <= 0 && o.opt.MaxCycles == 0 {
-		sys.RunFrames(k)
-		return nil
-	}
-	return sys.RunFramesChecked(k)
-}
-
 // worstNPI is the scalar the ablation tables report: the minimum of the
 // per-core minimum NPI over the measured window.
 func worstNPI(sys *core.System, from sara.Cycle) float64 {
@@ -302,12 +292,12 @@ func sweepDelta(o cliOptions, w io.Writer) error {
 			cfg.Delta = 8
 		}
 		sys := o.build(cfg)
-		if err := o.runFrames(sys, 1); err != nil {
+		if err := sys.RunFramesChecked(1); err != nil {
 			return err
 		}
 		from := sys.Now()
 		before := sys.DRAMStats()
-		if err := o.runFrames(sys, 1); err != nil {
+		if err := sys.RunFramesChecked(1); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "%5d  %14.2f  %.3f\n", delta,
@@ -333,11 +323,11 @@ func sweepBits(o cliOptions, w io.Writer) error {
 			}
 		}
 		sys := o.build(cfg)
-		if err := o.runFrames(sys, 1); err != nil {
+		if err := sys.RunFramesChecked(1); err != nil {
 			return err
 		}
 		from := sys.Now()
-		if err := o.runFrames(sys, 1); err != nil {
+		if err := sys.RunFramesChecked(1); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "%4d  %6d  %.3f\n", bits, 1<<bits, worstNPI(sys, from))
@@ -355,11 +345,11 @@ func sweepAging(o cliOptions, w io.Writer) error {
 			sara.WithAgingT(sara.Cycle(t)),
 			sara.WithRefresh(o.opt.Refresh))
 		sys := o.build(cfg)
-		if err := o.runFrames(sys, 1); err != nil {
+		if err := sys.RunFramesChecked(1); err != nil {
 			return err
 		}
 		from := sys.Now()
-		if err := o.runFrames(sys, 1); err != nil {
+		if err := sys.RunFramesChecked(1); err != nil {
 			return err
 		}
 		label := fmt.Sprint(t)
@@ -383,12 +373,12 @@ func sweepRefresh(o cliOptions, w io.Writer) error {
 				sara.WithScaleDiv(o.opt.ScaleDiv),
 				sara.WithRefresh(on))
 			sys := o.build(cfg)
-			if err := o.runFrames(sys, 1); err != nil {
+			if err := sys.RunFramesChecked(1); err != nil {
 				return err
 			}
 			from := sys.Now()
 			before := sys.DRAMStats()
-			if err := o.runFrames(sys, 1); err != nil {
+			if err := sys.RunFramesChecked(1); err != nil {
 				return err
 			}
 			label := "off"
@@ -418,13 +408,13 @@ func sweepScale(o cliOptions, w io.Writer) error {
 			sara.WithScaleDiv(o.opt.ScaleDiv),
 			sara.WithRefresh(o.opt.Refresh))
 		sys := o.build(cfg)
-		if err := o.runFrames(sys, 1); err != nil { // reach the saturated steady state
+		if err := sys.RunFramesChecked(1); err != nil { // reach the saturated steady state
 			return err
 		}
 		from := sys.Now()
 		before := sys.DRAMStats()
 		start := time.Now() //sara:wallclock host-throughput measurement (ns per simulated cycle)
-		if err := o.runFrames(sys, 1); err != nil {
+		if err := sys.RunFramesChecked(1); err != nil {
 			return err
 		}
 		elapsed := time.Since(start)

@@ -73,6 +73,20 @@ func TestCellMaxCyclesFailureCarriesRepro(t *testing.T) {
 	}
 }
 
+// TestAblationMaxCyclesTripsBudget checks the budget wiring of the
+// ablation sweeps, which build their systems outside the cell supervisor:
+// -max-cycles must arm the watchdog on every system they build.
+func TestAblationMaxCyclesTripsBudget(t *testing.T) {
+	var out, errb strings.Builder
+	args := []string{"-sweep", "aging", "-scale", "1024", "-max-cycles", "100"}
+	if code := run(args, &out, &errb); code != 1 {
+		t.Fatalf("exit code %d, want 1; stdout:\n%s", code, out.String())
+	}
+	if !strings.Contains(errb.String(), "cycle budget exceeded") {
+		t.Errorf("stderr lacks the watchdog diagnosis:\n%s", errb.String())
+	}
+}
+
 // TestCellJournalResume drives the journal through the CLI: the second,
 // resumed invocation serves the cell from the journal and prints exactly
 // the bytes the first produced.

@@ -15,15 +15,27 @@ func fastCfg(opts ...config.Option) core.Config {
 	return config.Camcorder(config.CaseA, append([]config.Option{config.WithScaleDiv(512)}, opts...)...)
 }
 
-// toggleSink is a noc.Sink whose acceptance the test flips by hand.
+// toggleSink is a noc.Sink whose acceptance the test flips by hand;
+// unblocking it returns a credit to the upstream router.
 type toggleSink struct {
 	got  int
 	full bool
+	up   noc.Waker
 }
 
 func (s *toggleSink) CanAccept(*txn.Transaction) bool { return !s.full }
 func (s *toggleSink) Accept(t *txn.Transaction, now sim.Cycle) {
 	s.got++
+}
+func (s *toggleSink) OnCredit(w noc.Waker) { s.up = w }
+
+// setFull switches backpressure at cycle now; going from full to not
+// full wakes the upstream router at now.
+func (s *toggleSink) setFull(full bool, now sim.Cycle) {
+	if s.full && !full {
+		s.up.Wake(now)
+	}
+	s.full = full
 }
 
 // TestEdgeTapWindowedGolden drives a bare two-deep router through the
@@ -63,7 +75,7 @@ func TestEdgeTapWindowedGolden(t *testing.T) {
 	// Window 2: a ready head blocked on a full sink stalls the switch
 	// every cycle; unblocking grants it (a pop of a non-full FIFO, so a
 	// credit but no backpressure release).
-	sink.full = true
+	sink.setFull(true, 3)
 	r.Port(0).Push(&txn.Transaction{ID: 3}, 3, 3)
 	r.Tick(3)
 	r.Tick(4)
@@ -71,7 +83,7 @@ func TestEdgeTapWindowedGolden(t *testing.T) {
 	if *c != want {
 		t.Fatalf("window 2 (blocked) counts %+v, want %+v", *c, want)
 	}
-	sink.full = false
+	sink.setFull(false, 5)
 	r.Tick(5)
 	want = analysis.EdgeCounts{Grants: 1, Credits: 1, FullPops: 0, Stalls: 2}
 	if *c != want {

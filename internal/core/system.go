@@ -66,7 +66,7 @@ func (s mcSink) Accept(t *txn.Transaction, now sim.Cycle) {
 	s.ctrl.Enqueue(t, now)
 }
 
-// OnCredit implements noc.CreditSink. A controller has exactly one
+// OnCredit implements noc.Sink. A controller has exactly one
 // upstream router; wiring a second would silently steal the first one's
 // credit wakes and break skip-vs-step equivalence, so it panics instead.
 func (s mcSink) OnCredit(w noc.Waker) {
@@ -200,9 +200,9 @@ func Build(cfg Config) *System {
 
 	// Per-cycle pipeline order: sources generate, DMAs inject, aggregation
 	// routers forward, root router delivers into the controllers, and the
-	// controllers issue DRAM commands. Every component is registered
-	// directly (not through TickFunc) so it carries its sim.Idler hint
-	// and the kernel can fast-forward over system-wide quiescence.
+	// controllers issue DRAM commands. Every component is a
+	// sim.Component, so it carries its sim.Idler hint and the kernel can
+	// fast-forward over system-wide quiescence.
 	// Registration also binds the push-based wake wiring: engines,
 	// routers and controllers receive their kernel wake handles through
 	// sim.WakeBinder, and each engine additionally gets its source's
@@ -514,7 +514,8 @@ func (s *System) Config() Config { return s.cfg }
 // Now reports the current cycle.
 func (s *System) Now() sim.Cycle { return s.kernel.Now() }
 
-// Run advances the simulation by n cycles.
+// Run advances the simulation by n cycles. A trip of a watchdog installed
+// with SetWatchdog panics here; RunChecked returns it as an error.
 func (s *System) Run(n sim.Cycle) { s.kernel.RunFor(n) }
 
 // RunFrames advances the simulation by k frame periods.
@@ -526,24 +527,19 @@ func (s *System) RunFrames(k int) {
 // panics raised anywhere in the system surface as a *sim.PanicError, and
 // any watchdog installed with SetWatchdog bounds the run (see
 // sim.Kernel.RunChecked).
-func (s *System) RunChecked(n sim.Cycle) error { return s.kernel.RunForChecked(n) }
+func (s *System) RunChecked(n sim.Cycle) error { return s.kernel.RunChecked(s.kernel.Now() + n) }
 
 // RunFramesChecked is RunChecked over k frame periods.
 func (s *System) RunFramesChecked(k int) error {
 	return s.RunChecked(sim.Cycle(k) * s.cfg.FramePeriod())
 }
 
-// SetWatchdog installs wd on the kernel, defaulting its Outstanding and
-// Progress probes to the system-level ones (in-flight transactions and
-// completed transactions) when unset, so callers only pick budgets.
+// SetWatchdog installs wd on the kernel, defaulting its Outstanding probe
+// to the system's in-flight transaction count when unset, so callers only
+// pick budgets.
 func (s *System) SetWatchdog(wd *sim.Watchdog) {
-	if wd != nil {
-		if wd.Outstanding == nil {
-			wd.Outstanding = s.Outstanding
-		}
-		if wd.Progress == nil {
-			wd.Progress = s.CompletedTransactions
-		}
+	if wd != nil && wd.Outstanding == nil {
+		wd.Outstanding = s.Outstanding
 	}
 	s.kernel.SetWatchdog(wd)
 }
@@ -562,8 +558,7 @@ func (s *System) Outstanding() uint64 {
 	return n
 }
 
-// CompletedTransactions sums completions across every DMA — the default
-// forward-progress counter for the watchdog.
+// CompletedTransactions sums completions across every DMA.
 func (s *System) CompletedTransactions() uint64 {
 	var n uint64
 	for _, u := range s.units {

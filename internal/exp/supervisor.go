@@ -192,13 +192,7 @@ func (o Options) Watchdog() *sim.Watchdog {
 	if o.Timeout <= 0 && o.MaxCycles == 0 {
 		return nil
 	}
-	wd := &sim.Watchdog{
-		MaxExecuted: o.MaxCycles,
-		// A tight cadence keeps the timeout granularity well under any
-		// sensible budget; one clock read per 64 executed cycles is noise
-		// next to the simulation work those cycles do.
-		CheckEvery: 64,
-	}
+	wd := &sim.Watchdog{MaxExecuted: o.MaxCycles}
 	if o.Timeout > 0 {
 		wd.Deadline = time.Now().Add(o.Timeout) //sara:wallclock watchdog deadline is a host bound, not simulated time
 	}

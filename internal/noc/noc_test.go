@@ -8,14 +8,27 @@ import (
 )
 
 // collectSink records accepted transactions and can simulate backpressure.
+// It returns credits like every Sink: setFull(false, now) on a full sink
+// wakes the upstream router at now.
 type collectSink struct {
 	got  []*txn.Transaction
 	full bool
+	up   Waker
 }
 
 func (s *collectSink) CanAccept(*txn.Transaction) bool { return !s.full }
 func (s *collectSink) Accept(t *txn.Transaction, now sim.Cycle) {
 	s.got = append(s.got, t)
+}
+func (s *collectSink) OnCredit(w Waker) { s.up = w }
+
+// setFull switches backpressure at cycle now; going from full to not
+// full is a credit return.
+func (s *collectSink) setFull(full bool, now sim.Cycle) {
+	if s.full && !full {
+		s.up.Wake(now)
+	}
+	s.full = full
 }
 
 func params(arb ArbKind) Params {
@@ -140,7 +153,7 @@ func TestBlockedDownstreamStalls(t *testing.T) {
 	if r.Stalls() != 1 {
 		t.Fatalf("stalls %d, want 1", r.Stalls())
 	}
-	sink.full = false
+	sink.setFull(false, 2)
 	r.Tick(2)
 	if len(sink.got) != 1 {
 		t.Fatal("did not forward once the sink freed up")
@@ -247,7 +260,7 @@ func TestCreditReturnWakesBlockedUpstream(t *testing.T) {
 
 	// Downstream unblocks and pops at cycle 5: the credit must re-arm the
 	// upstream wake to cycle 6.
-	final.full = false
+	final.setFull(false, 5)
 	down.Tick(5)
 	if at, ok := next(up, 5); !ok || at != 6 {
 		t.Fatalf("after credit NextActivity = (%d, %v), want (6, true)", at, ok)
@@ -266,22 +279,25 @@ func TestCreditReturnWakesBlockedUpstream(t *testing.T) {
 	}
 }
 
-// TestUncreditedSinkIsPolled pins the compatibility path: a ready head
-// blocked on a sink that cannot return credits (plain Sink) keeps the
-// router polling every cycle, so unblocking the sink out-of-band is
-// observed without any wake.
-func TestUncreditedSinkIsPolled(t *testing.T) {
+// TestSinkCreditWakesBlockedRouter pins the credit contract of a sink
+// that is not a router port: a ready head blocked on the full sink leaves
+// the router asleep rather than polling, and the sink's credit return on
+// unblocking re-arms it for the very cycle it names.
+func TestSinkCreditWakesBlockedRouter(t *testing.T) {
 	sink := &collectSink{full: true}
 	r := NewRouter("t", params(ArbFCFS), 1, []Sink{sink}, nil, nil)
 	r.Port(0).Push(tx(1, 0), 0, 0)
 	r.Tick(1)
-	if at, ok := next(r, 1); !ok || at != 2 {
-		t.Fatalf("NextActivity = (%d, %v), want the next poll (2, true)", at, ok)
+	if _, ok := next(r, 1); ok {
+		t.Fatal("router blocked on a full sink must sleep until its credit")
 	}
-	sink.full = false
+	sink.setFull(false, 2)
+	if at, ok := next(r, 1); !ok || at != 2 {
+		t.Fatalf("NextActivity = (%d, %v), want the credited cycle (2, true)", at, ok)
+	}
 	r.Tick(2)
 	if len(sink.got) != 1 {
-		t.Fatal("polled router missed the out-of-band unblock")
+		t.Fatal("router missed the credit return")
 	}
 }
 
@@ -306,7 +322,7 @@ func TestDormantMatchesForceScan(t *testing.T) {
 		id := uint64(0)
 		var res result
 		for c := sim.Cycle(0); c < 3000; c++ {
-			sink.full = rng.Bool(0.6)
+			sink.setFull(rng.Bool(0.6), c)
 			if rng.Bool(0.3) {
 				p := r.Port(rng.Intn(3))
 				if p.CanAccept() {

@@ -1,14 +1,15 @@
-// Run-loop guardrails: a watchdog on the kernel's run loop that detects
-// livelock (a cycle budget on executed cycles, a progress budget on an
-// externally supplied counter, and parked-at-never deadlock with work
-// outstanding) plus wall-clock timeouts, and a checked run entry point
+// Run-loop guardrails: a watchdog that Run consults to detect livelock
+// (a budget on executed cycles, and parked-at-never deadlock with work
+// outstanding) and wall-clock overruns, and a checked run entry point
 // that converts both watchdog trips and internal invariant panics into
 // typed errors at the run boundary instead of spinning or crashing the
 // whole process.
 //
-// Everything here is strictly off the steady-state path: Run and Step are
-// untouched, and RunChecked with a nil watchdog degenerates to Run plus a
-// single deferred recover, so the 0 allocs/op benchmarks are unaffected.
+// There is one run loop: Run itself consults an installed watchdog once
+// every checkEvery executed cycles (and at the budget's first overrun
+// cycle), through a single compare per executed cycle. Everything the
+// checks call — watch, checkParked, the diagnostic dump — stays off the
+// //sara:hotpath extents; RunChecked is Run plus a deferred recover.
 
 package sim
 
@@ -24,19 +25,17 @@ import (
 // containment (which RunChecked provides with a nil watchdog too).
 type Watchdog struct {
 	// MaxExecuted aborts the run after this many executed (non-skipped)
-	// cycles. With idle skipping active, executed cycles measure actual
-	// work, so a run that should be mostly quiescent but spins busy every
-	// cycle trips this budget long before its horizon.
+	// cycles since the watchdog was armed. With idle skipping active,
+	// executed cycles measure actual work, so a run that should be mostly
+	// quiescent but spins busy every cycle trips this budget long before
+	// its horizon.
 	MaxExecuted uint64
 	// Deadline aborts the run when wall-clock time passes it. The clock
-	// is sampled every CheckEvery executed cycles, so a run overshoots
-	// the deadline by at most one check interval of simulation work (or
-	// by however long a single Tick blocks — cooperative, like all Go
-	// timeouts without preemption).
+	// is sampled every checkEvery executed cycles, so a run overshoots
+	// the deadline by at most that much simulation work (or by however
+	// long a single Tick blocks — cooperative, like all Go timeouts
+	// without preemption).
 	Deadline time.Time
-	// CheckEvery is the number of executed cycles between the periodic
-	// checks (deadline, progress, parked-deadlock); 0 selects 4096.
-	CheckEvery uint64
 	// Outstanding reports how much work is still in flight (for a SoC
 	// run: transactions generated but not yet completed). When it is
 	// non-nil and reports > 0 while the wake set is fully parked at
@@ -45,17 +44,13 @@ type Watchdog struct {
 	// fast-forwarding to the horizon and returning silently-truncated
 	// results.
 	Outstanding func() uint64
-	// Progress, with ProgressBudget, is the no-progress livelock
-	// detector: if Progress() does not change for ProgressBudget
-	// executed cycles, the run is declared stuck. The counter can be
-	// anything monotonic that moves when real work happens (completed
-	// transactions, issued DRAM commands).
-	Progress       func() uint64
-	ProgressBudget uint64
 }
 
-// defaultCheckEvery is the periodic-check cadence when CheckEvery is 0.
-const defaultCheckEvery = 4096
+// checkEvery is the watchdog's cadence in executed cycles. One clock read
+// per 64 executed cycles is noise next to the simulation work those
+// cycles do, and keeps the timeout granularity well under any sensible
+// budget.
+const checkEvery = 64
 
 // IdlerState is one registered idler's wake state in a DeadlockError
 // diagnostic dump: its cached wake-set bound and its live NextActivity
@@ -83,7 +78,8 @@ type IdlerState struct {
 type DeadlockError struct {
 	// Reason is a one-line diagnosis ("cycle budget exceeded", ...).
 	Reason string
-	// Now and Executed locate the trip in simulated time.
+	// Now and Executed locate the trip in simulated time; Executed counts
+	// the cycles executed since the watchdog was armed.
 	Now      Cycle
 	Executed uint64
 	// Outstanding is the watchdog's Outstanding() answer at the trip
@@ -148,118 +144,78 @@ func (e *InvariantError) Error() string { return e.Msg }
 // invariant builds the typed panic value for kernel invariant trips.
 func invariant(msg string) *InvariantError { return &InvariantError{Msg: msg} }
 
-// SetWatchdog installs (or, with nil, removes) the run watchdog and
-// resets its counters. The watchdog only acts through RunChecked; plain
-// Run ignores it, keeping the benchmark hot loop byte-identical.
+// SetWatchdog installs (or, with nil, removes) the run watchdog. Its
+// MaxExecuted budget counts from the cycles executed so far, and Run
+// consults it on the next executed cycle.
 func (k *Kernel) SetWatchdog(wd *Watchdog) {
 	k.wd = wd
-	k.executed = 0
-	k.wdCountdown = 0
-	k.progressAt = 0
-	if wd != nil && wd.Progress != nil {
-		k.lastProgress = wd.Progress()
-	}
+	k.wdArmed = k.executed
+	k.wdNext = k.executed + 1
 }
-
-// ExecutedCycles reports how many cycles the guarded run loop has
-// executed since the watchdog was armed (0 under plain Run).
-func (k *Kernel) ExecutedCycles() uint64 { return k.executed }
 
 // RunChecked advances the simulation like Run, but contains failures:
 // any panic raised by an event, a ticker or the kernel's own invariant
-// checks is recovered into a *PanicError, and if a watchdog is installed
-// the run is additionally bounded by its budgets, returning a
-// *DeadlockError when one trips. A nil error means the horizon was
+// checks is recovered into a *PanicError, and a watchdog trip is
+// returned as its *DeadlockError. A nil error means the horizon was
 // reached normally.
 func (k *Kernel) RunChecked(horizon Cycle) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
+			if de, ok := r.(*DeadlockError); ok {
+				err = de
+				return
+			}
 			err = &PanicError{Value: r, Stack: debug.Stack()}
 		}
 	}()
-	if k.wd == nil {
-		k.Run(horizon)
-		return nil
-	}
-	return k.runGuarded(horizon)
+	k.Run(horizon)
+	return nil
 }
 
-// RunForChecked is RunChecked over a relative span.
-func (k *Kernel) RunForChecked(n Cycle) error { return k.RunChecked(k.now + n) }
-
-// runGuarded is Run's loop with the watchdog checks woven in: the cycle
-// budget every executed cycle (one compare), the clock/progress/deadlock
-// checks every CheckEvery executed cycles, and a final parked-deadlock
-// check before declaring the horizon reached.
-func (k *Kernel) runGuarded(horizon Cycle) error {
+// watch runs the watchdog's checks — the cycle budget, the wall-clock
+// deadline and the parked deadlock — and schedules the next visit:
+// checkEvery executed cycles on, or the budget's first overrun cycle if
+// that comes first, so the budget trips on the exact cycle. With no
+// watchdog installed it parks wdNext out of reach (the zero Kernel's
+// first executed cycle lands here once).
+func (k *Kernel) watch() {
 	wd := k.wd
-	every := wd.CheckEvery
-	if every == 0 {
-		every = defaultCheckEvery
+	if wd == nil {
+		k.wdNext = ^uint64(0)
+		return
 	}
-	skip := k.IdleSkipActive()
-	for k.now < horizon {
-		k.Step()
-		k.executed++
-		if wd.MaxExecuted > 0 && k.executed > wd.MaxExecuted {
-			return k.deadlock(fmt.Sprintf("cycle budget exceeded (%d executed cycles)", wd.MaxExecuted))
-		}
-		if k.wdCountdown == 0 {
-			k.wdCountdown = every
-			if err := k.wdCheck(); err != nil {
-				return err
-			}
-		}
-		k.wdCountdown--
-		if skip && k.now < horizon {
-			k.fastForward(horizon)
-		}
+	if wd.MaxExecuted > 0 && k.executed-k.wdArmed > wd.MaxExecuted {
+		panic(k.deadlock(fmt.Sprintf("cycle budget exceeded (%d executed cycles)", wd.MaxExecuted)))
 	}
-	// The horizon was reached: flush batched dormant-cycle bookkeeping
-	// exactly as plain Run does (mid-run deadlock returns skip this — a
-	// tripped run's stats are diagnostic, not results).
-	k.settleRun()
-	// A fully parked system fast-forwards to the horizon almost
-	// instantly, so the periodic check may never have seen it; catch the
-	// silent-truncation case on the way out.
-	return k.checkParked()
-}
-
-// wdCheck runs the periodic (per-CheckEvery) watchdog checks.
-func (k *Kernel) wdCheck() error {
-	wd := k.wd
 	//sara:wallclock the watchdog's deadline check is about the host clock by design
 	if !wd.Deadline.IsZero() && time.Now().After(wd.Deadline) {
-		return k.deadlock(fmt.Sprintf("wall-clock deadline exceeded (%s)", wd.Deadline.Format(time.RFC3339)))
+		panic(k.deadlock(fmt.Sprintf("wall-clock deadline exceeded (%s)", wd.Deadline.Format(time.RFC3339))))
 	}
-	if wd.Progress != nil && wd.ProgressBudget > 0 {
-		if p := wd.Progress(); p != k.lastProgress {
-			k.lastProgress = p
-			k.progressAt = k.executed
-		} else if k.executed-k.progressAt > wd.ProgressBudget {
-			return k.deadlock(fmt.Sprintf("no progress in %d executed cycles", k.executed-k.progressAt))
-		}
+	k.checkParked()
+	k.wdNext = k.executed + checkEvery
+	if wd.MaxExecuted > 0 {
+		k.wdNext = min(k.wdNext, k.wdArmed+wd.MaxExecuted+1)
 	}
-	return k.checkParked()
 }
 
-// checkParked detects the provable deadlock: every idler parked at
+// checkParked trips on the provable deadlock: every idler parked at
 // never, no event pending, and the outstanding probe reporting work
 // still in flight — nothing can ever act again, yet the run is not done.
-func (k *Kernel) checkParked() error {
+// Run also calls it at the horizon, because a fully parked system
+// fast-forwards there almost at once and the cadence may never see it.
+func (k *Kernel) checkParked() {
 	wd := k.wd
 	if wd.Outstanding == nil || len(k.events) > 0 {
-		return nil
+		return
 	}
 	for _, at := range k.wakes.at {
 		if at != never {
-			return nil
+			return
 		}
 	}
 	if n := wd.Outstanding(); n > 0 {
-		return k.deadlock(fmt.Sprintf("all %d idlers parked with %d transactions outstanding", len(k.idlers), n))
+		panic(k.deadlock(fmt.Sprintf("all %d idlers parked with %d transactions outstanding", len(k.comps), n)))
 	}
-	return nil
 }
 
 // deadlock builds a DeadlockError with the current wake-state dump.
@@ -267,7 +223,7 @@ func (k *Kernel) deadlock(reason string) *DeadlockError {
 	e := &DeadlockError{
 		Reason:   reason,
 		Now:      k.now,
-		Executed: k.executed,
+		Executed: k.executed - k.wdArmed,
 		Idlers:   k.idlerDump(),
 	}
 	if k.wd.Outstanding != nil {
@@ -279,11 +235,11 @@ func (k *Kernel) deadlock(reason string) *DeadlockError {
 // idlerDump snapshots every idler's cached wake bound and live hint.
 // Error path only; allocation here is fine.
 func (k *Kernel) idlerDump() []IdlerState {
-	out := make([]IdlerState, len(k.idlers))
-	for i, id := range k.idlers {
-		st := IdlerState{ID: i, Name: idlerName(id), CachedWake: k.wakes.at[i]}
+	out := make([]IdlerState, len(k.comps))
+	for i, c := range k.comps {
+		st := IdlerState{ID: i, Name: idlerName(c), CachedWake: k.wakes.at[i]}
 		st.Parked = st.CachedWake == never
-		st.Hint, st.HintOK = id.NextActivity(k.now)
+		st.Hint, st.HintOK = c.NextActivity(k.now)
 		out[i] = st
 	}
 	return out

@@ -46,6 +46,42 @@ func TestWatchdogCycleBudget(t *testing.T) {
 	}
 }
 
+// TestWatchdogBudgetCountsFromArming arms the budget on a kernel that
+// has already executed cycles: the budget counts from the arming, and
+// ExecutedCycles keeps counting from cycle 0.
+func TestWatchdogBudgetCountsFromArming(t *testing.T) {
+	var k Kernel
+	k.Register(&spinner{})
+	k.Run(500)
+	k.SetWatchdog(&Watchdog{MaxExecuted: 100})
+	err := k.RunChecked(1_000_000)
+	var de *DeadlockError
+	if !errors.As(err, &de) {
+		t.Fatalf("RunChecked = %v, want DeadlockError", err)
+	}
+	if de.Executed != 101 || k.ExecutedCycles() != 601 || de.Now != 601 {
+		t.Fatalf("tripped at executed %d (kernel total %d, cycle %d), want 101 (601, 601)",
+			de.Executed, k.ExecutedCycles(), de.Now)
+	}
+}
+
+// TestWatchdogTripPanicsOutOfRun pins plain Run's side of the one-loop
+// contract: a trip stops Run by panicking with the *DeadlockError.
+func TestWatchdogTripPanicsOutOfRun(t *testing.T) {
+	var k Kernel
+	k.Register(&spinner{})
+	k.SetWatchdog(&Watchdog{MaxExecuted: 10})
+	defer func() {
+		if _, ok := recover().(*DeadlockError); !ok {
+			t.Fatal("Run did not panic with a *DeadlockError")
+		}
+		if k.Now() != 11 {
+			t.Fatalf("run stopped at cycle %d, want 11", k.Now())
+		}
+	}()
+	k.Run(1000)
+}
+
 func TestWatchdogParkedDeadlock(t *testing.T) {
 	var k Kernel
 	p := &parker{outstanding: 3}
@@ -85,10 +121,7 @@ func TestWatchdogWallClockDeadline(t *testing.T) {
 	// an event loop that sleeps, so the deadline trips after a few
 	// checks rather than after millions of cycles.
 	k.Every(1, func(now Cycle) { time.Sleep(200 * time.Microsecond) })
-	k.SetWatchdog(&Watchdog{
-		Deadline:   time.Now().Add(5 * time.Millisecond),
-		CheckEvery: 8,
-	})
+	k.SetWatchdog(&Watchdog{Deadline: time.Now().Add(5 * time.Millisecond)})
 	err := k.RunChecked(1_000_000)
 	var de *DeadlockError
 	if !errors.As(err, &de) {
@@ -96,37 +129,6 @@ func TestWatchdogWallClockDeadline(t *testing.T) {
 	}
 	if !strings.Contains(de.Error(), "deadline") {
 		t.Fatalf("reason %q lacks 'deadline'", de.Error())
-	}
-}
-
-func TestWatchdogProgressBudget(t *testing.T) {
-	var k Kernel
-	k.Register(&spinner{})
-	var progress uint64
-	k.SetWatchdog(&Watchdog{
-		Progress:       func() uint64 { return progress },
-		ProgressBudget: 50,
-		CheckEvery:     1,
-	})
-	err := k.RunChecked(1_000_000)
-	var de *DeadlockError
-	if !errors.As(err, &de) {
-		t.Fatalf("RunChecked = %v, want DeadlockError", err)
-	}
-	if !strings.Contains(de.Error(), "no progress") {
-		t.Fatalf("reason %q lacks 'no progress'", de.Error())
-	}
-
-	// A moving counter keeps the same run alive to its horizon.
-	var k2 Kernel
-	k2.Register(&spinner{})
-	k2.SetWatchdog(&Watchdog{
-		Progress:       func() uint64 { progress++; return progress },
-		ProgressBudget: 50,
-		CheckEvery:     1,
-	})
-	if err := k2.RunChecked(10_000); err != nil {
-		t.Fatalf("progressing run tripped the watchdog: %v", err)
 	}
 }
 
@@ -183,16 +185,17 @@ func TestRunCheckedNoWatchdogMatchesRun(t *testing.T) {
 	}
 }
 
-// TestWatchdogGuardedMatchesPlainRun pins the central equivalence: the
-// guarded loop with generous budgets executes exactly the same schedule
-// as the plain loop — the watchdog only observes, never perturbs.
+// TestWatchdogGuardedMatchesPlainRun pins the central equivalence: a run
+// under a watchdog with generous budgets executes exactly the same
+// schedule as an unwatched one — the watchdog only observes, never
+// perturbs.
 func TestWatchdogGuardedMatchesPlainRun(t *testing.T) {
 	ref, chk := &fakeIdler{wakes: []Cycle{3, 100, 5000}}, &fakeIdler{wakes: []Cycle{3, 100, 5000}}
 	var kr, kc Kernel
 	kr.Register(ref)
 	kc.Register(chk)
 	kr.Run(6000)
-	kc.SetWatchdog(&Watchdog{MaxExecuted: 1 << 40, CheckEvery: 7})
+	kc.SetWatchdog(&Watchdog{MaxExecuted: 1 << 40})
 	if err := kc.RunChecked(6000); err != nil {
 		t.Fatal(err)
 	}

@@ -8,11 +8,12 @@
 // the LCD panel draining its read buffer in wall-clock time) are expressed
 // as rates converted to bytes-per-cycle at configuration time.
 //
-// The kernel is event-driven with idle skipping: components that implement
-// the optional Idler interface report when they next have work, and the
-// kernel fast-forwards the clock over stretches where every component is
-// quiescent and no event is due, instead of stepping cycle by cycle
-// through dead time.
+// The kernel is event-driven with idle skipping: every registered
+// component is a Ticker that also implements Idler, reporting when it next
+// has work, and the kernel fast-forwards the clock over stretches where
+// every component is quiescent and no event is due, instead of stepping
+// cycle by cycle through dead time. Register accepts nothing else, so no
+// component can silently turn skipping off.
 //
 // Wake scheduling is push-based: the kernel caches each idler's wake
 // cycle, and components re-arm it through the WakeHandle returned by
@@ -48,17 +49,24 @@
 //     and, because a run can end mid-dormancy, also settled at the run
 //     horizon via the optional Settler interface.
 //
-// Two reference modes bypass the active list for the differential suites.
-// Both are per-Kernel settings, so kernels in one process never see each
-// other's mode: SetIdleSkip(false) restores full cycle-by-cycle stepping
-// (every ticker ticked every cycle, in registration order), and
-// SetForcePoll(true) replaces both the active list and the wake-set-driven
-// fast-forward with the linear NextActivity sweep. The subsystems'
-// force-scan references (dormancy caches bypassed) are per-component
-// too, and trace observers subscribe per system through Probes. Among
-// co-due tickers the active list preserves registration order — the SoC
-// pipeline order sources -> DMA -> NoC -> MC -> DRAM -> adapters — so all
-// three modes execute the same cycles' work in the same order.
+// The kernel has three modes. The default wake-set mode runs the active
+// list and fast-forwards from the wake set. Two reference modes bypass the
+// active list for the differential suites; both are per-Kernel settings,
+// so kernels in one process never see each other's mode:
+// SetIdleSkip(false) restores full cycle-by-cycle stepping (every ticker
+// ticked every cycle, in registration order), and SetForcePoll(true)
+// replaces both the active list and the wake-set-driven fast-forward with
+// the linear NextActivity sweep. The subsystems' force-scan references
+// (dormancy caches bypassed) are per-component too, and trace observers
+// subscribe per system through Probes. Among co-due tickers the active
+// list preserves registration order — the SoC pipeline order sources ->
+// DMA -> NoC -> MC -> DRAM -> adapters — so all three modes execute the
+// same cycles' work in the same order.
+//
+// Run is the only run loop. It counts every executed cycle, so
+// ExecutedCycles()+SkippedCycles() == Now() in every mode, and it enforces
+// an installed Watchdog (see guard.go); RunChecked is Run with failures
+// recovered into errors.
 package sim
 
 import (
@@ -74,7 +82,8 @@ type Cycle uint64
 // act again without external input, so only a Rearm can revive it.
 const never = ^Cycle(0)
 
-// Ticker is a component that advances by one cycle at a time.
+// Ticker is a component that advances by one cycle at a time. The kernel
+// registers Tickers only together with their Idler half (see Component).
 type Ticker interface {
 	// Tick advances the component to cycle now. In the stepped and
 	// force-poll reference modes the kernel calls Tick exactly once per
@@ -102,8 +111,8 @@ type Settler interface {
 	SettleRun(end Cycle)
 }
 
-// Idler is an optional Ticker extension that enables idle skipping. A
-// ticker that implements it promises that, absent any new input from the
+// Idler is the half of the Component contract that enables idle skipping.
+// A ticker that implements it promises that, absent any new input from the
 // rest of the system (events, other components' actions), its Tick will
 // not act on the system — enqueue requests, forward packets, issue
 // commands, or mutate externally observable counters — at any cycle
@@ -160,6 +169,15 @@ type Idler interface {
 	NextActivity(now Cycle) (at Cycle, ok bool)
 }
 
+// Component is what Register accepts: a Ticker that reports its next
+// activity. Requiring both halves at registration is what makes idle
+// skipping unconditional — the kernel never holds a ticker it cannot
+// prove quiescent.
+type Component interface {
+	Ticker
+	Idler
+}
+
 // WakeBinder is an optional interface for Idlers that participate in
 // push-based wake scheduling: Register hands the component its WakeHandle
 // so the component (and the wiring around it) can re-arm its kernel wake
@@ -191,14 +209,6 @@ func (h WakeHandle) Rearm(at Cycle) {
 	}
 	h.k.Rearm(h.id, at)
 }
-
-// TickFunc adapts a function to the Ticker interface. It does not
-// implement Idler, so registering one disables idle skipping for the
-// whole kernel (the kernel cannot prove anything about opaque functions).
-type TickFunc func(now Cycle)
-
-// Tick calls f(now).
-func (f TickFunc) Tick(now Cycle) { f(now) }
 
 // event is a scheduled callback. Exactly one of fn and argFn is set;
 // argFn carries a caller-supplied payload so hot paths (transaction
@@ -580,23 +590,19 @@ func (w *wakeSet) siftDown(i int) {
 	w.pos[e.id] = int32(i)
 }
 
-// Kernel owns the clock, the ordered ticker list, the event queue and the
-// wake set. The zero value is ready to use, with idle skipping enabled.
+// Kernel owns the clock, the ordered component list, the event queue and
+// the wake set. The zero value is ready to use, with idle skipping enabled.
 type Kernel struct {
-	now     Cycle
-	tickers []Ticker
-	// idlers holds the Idler view of every registered ticker, indexed by
-	// wake-set id. If any ticker does not implement Idler the kernel
-	// cannot prove quiescence and opaque is set, which disables skipping
-	// entirely.
-	idlers []Idler
-	wakes  wakeSet
+	now Cycle
+	// comps holds every registered component, indexed by wake-set id,
+	// which is registration order.
+	comps []Component
+	wakes wakeSet
 	// settlers are the registered tickers that batch dormant-cycle
 	// bookkeeping; Run calls SettleRun on each when it reaches its
 	// horizon so end-of-run statistics are exact even when the active
 	// list left a component un-ticked over a trailing dormant stretch.
 	settlers []Settler
-	opaque   bool
 	noSkip   bool
 	// forcePoll replaces the active list and the wake-set fast-forward
 	// probe with the linear NextActivity sweep (see SetForcePoll).
@@ -604,26 +610,28 @@ type Kernel struct {
 	events    eventHeap
 	seq       uint64
 	started   bool
-	skipped   uint64
-	// wd, when non-nil, activates the run-loop guardrails: RunChecked
-	// routes through the guarded loop in guard.go instead of Run's hot
-	// loop, so a nil watchdog costs nothing on the steady-state path.
-	// executed counts executed (non-skipped) cycles since the watchdog
-	// was armed; the remaining fields are the watchdog's check cadence
-	// and progress bookkeeping (see guard.go).
-	wd           *Watchdog
-	executed     uint64
-	wdCountdown  uint64
-	lastProgress uint64
-	progressAt   uint64
+	// executed and skipped partition the clock: Step counts the cycles it
+	// executes, fastForward the cycles it jumps over.
+	executed uint64
+	skipped  uint64
+	// wd is the installed watchdog (nil: none). Run consults it once
+	// executed reaches wdNext; wdArmed is executed at arming, the origin
+	// of the MaxExecuted budget (see guard.go).
+	wd      *Watchdog
+	wdArmed uint64
+	wdNext  uint64
 }
 
 // Now reports the current cycle.
 func (k *Kernel) Now() Cycle { return k.now }
 
+// ExecutedCycles reports how many cycles Step has executed. Together
+// with SkippedCycles it accounts for the whole clock:
+// ExecutedCycles()+SkippedCycles() == Now() in every kernel mode.
+func (k *Kernel) ExecutedCycles() uint64 { return k.executed }
+
 // SkippedCycles reports how many cycles Run fast-forwarded over instead of
-// executing. It is a diagnostic: (executed + skipped) == Now() for a run
-// started at cycle 0.
+// executing.
 func (k *Kernel) SkippedCycles() uint64 { return k.skipped }
 
 // SetIdleSkip enables or disables idle skipping (enabled by default).
@@ -640,38 +648,26 @@ func (k *Kernel) SetIdleSkip(on bool) { k.noSkip = !on }
 // differential suites check. Off by default; set it before Run.
 func (k *Kernel) SetForcePoll(on bool) { k.forcePoll = on }
 
-// IdleSkipActive reports whether Run may fast-forward: skipping must be
-// enabled and every registered ticker must implement Idler.
-func (k *Kernel) IdleSkipActive() bool { return !k.noSkip && !k.opaque }
-
-// Register appends t to the per-cycle tick list and returns t's wake
+// Register appends c to the per-cycle tick list and returns c's wake
 // handle. Components are ticked in registration order, which the SoC
 // assembly uses to realize the pipeline order sources -> DMAs -> NoC ->
 // MC -> DRAM -> responses -> adapters; the wheel and overflow heap order
 // themselves by cached wake cycle, so registration order never affects
-// fast-forward targets. If t implements WakeBinder the handle is also
+// fast-forward targets. If c implements WakeBinder the handle is also
 // pushed into the component here, so assemblies get push wiring for free.
-// Tickers that do not implement Idler receive an inert handle (and
-// disable skipping).
 // Register panics if the simulation has already started, because
 // inserting a ticker mid-run would silently skip its earlier cycles.
-func (k *Kernel) Register(t Ticker) WakeHandle {
+func (k *Kernel) Register(c Component) WakeHandle {
 	if k.started {
 		panic(invariant("sim: Register after simulation started"))
 	}
-	k.tickers = append(k.tickers, t)
-	id, ok := t.(Idler)
-	if !ok {
-		k.opaque = true
-		return WakeHandle{}
-	}
-	h := WakeHandle{k: k, id: len(k.idlers)}
-	k.idlers = append(k.idlers, id)
+	h := WakeHandle{k: k, id: len(k.comps)}
+	k.comps = append(k.comps, c)
 	k.wakes.add(h.id)
-	if wb, ok := t.(WakeBinder); ok {
+	if wb, ok := c.(WakeBinder); ok {
 		wb.BindWake(h)
 	}
-	if s, ok := t.(Settler); ok {
+	if s, ok := c.(Settler); ok {
 		k.settlers = append(k.settlers, s)
 	}
 	return h
@@ -728,14 +724,15 @@ func (k *Kernel) Every(period Cycle, fn func(now Cycle)) {
 }
 
 // Step advances the simulation by exactly one cycle: due events first,
-// then the registered tickers. In the default active-list mode only due
+// then the registered tickers. In the default wake-set mode only due
 // tickers — cached wake at or before the current cycle — are called; the
-// stepped (SetIdleSkip(false)), opaque and force-poll modes tick every
-// ticker. Step never skips a cycle.
+// stepped (SetIdleSkip(false)) and force-poll modes tick every ticker.
+// Step never skips a cycle, and counts the cycle it executes.
 //
 //sara:hotpath
 func (k *Kernel) Step() {
 	k.started = true
+	k.executed++
 	for len(k.events) > 0 && k.events[0].at <= k.now {
 		e := k.events.pop()
 		if e.fn != nil {
@@ -744,11 +741,11 @@ func (k *Kernel) Step() {
 			e.argFn(k.now, e.arg)
 		}
 	}
-	if !k.noSkip && !k.opaque && !k.forcePoll {
+	if !k.noSkip && !k.forcePoll {
 		k.stepActive()
 	} else {
-		for _, t := range k.tickers {
-			t.Tick(k.now)
+		for _, c := range k.comps {
+			c.Tick(k.now)
 		}
 	}
 	k.now++
@@ -781,8 +778,9 @@ func (k *Kernel) stepActive() {
 		for word := w.due[wi]; word != 0; {
 			b := bits.TrailingZeros64(word)
 			id := wi<<6 | b
-			k.tickers[id].Tick(now)
-			next, ok := k.idlers[id].NextActivity(now + 1)
+			c := k.comps[id]
+			c.Tick(now)
+			next, ok := c.NextActivity(now + 1)
 			if ok && next <= now+1 {
 				w.at[id] = next
 			} else {
@@ -794,20 +792,32 @@ func (k *Kernel) stepActive() {
 }
 
 // Run advances the simulation until the clock reaches horizon (exclusive).
-// When idle skipping is active, quiescent stretches — no event due and
+// Unless idle skipping is disabled, quiescent stretches — no event due and
 // every ticker's cached wake strictly in the future — are fast-forwarded
 // instead of executed. On reaching the horizon Run settles every
 // registered Settler, so statistics batched across dormant stretches are
 // exact even for components the active list never ticked again.
+//
+// With a watchdog installed, Run also consults it on a fixed cadence of
+// executed cycles and once more at the horizon; a trip panics with the
+// *DeadlockError, leaving the run where it stopped, unsettled (RunChecked
+// returns it as an error). Without one the only cost is a compare per
+// executed cycle.
 func (k *Kernel) Run(horizon Cycle) {
-	skip := k.IdleSkipActive()
+	skip := !k.noSkip
 	for k.now < horizon {
 		k.Step()
+		if k.executed >= k.wdNext {
+			k.watch()
+		}
 		if skip && k.now < horizon {
 			k.fastForward(horizon)
 		}
 	}
 	k.settleRun()
+	if k.wd != nil {
+		k.checkParked()
+	}
 }
 
 // Settle flushes every registered Settler's batched dormant-cycle
@@ -853,8 +863,8 @@ func (k *Kernel) nextWakePoll(horizon Cycle) Cycle {
 			target = at
 		}
 	}
-	for _, id := range k.idlers {
-		next, ok := id.NextActivity(k.now)
+	for _, c := range k.comps {
+		next, ok := c.NextActivity(k.now)
 		if !ok {
 			continue
 		}
@@ -902,7 +912,7 @@ func (k *Kernel) nextWakeHeap(horizon Cycle) Cycle {
 	for wi := range w.due {
 		for word := w.due[wi]; word != 0; word &= word - 1 {
 			id := wi<<6 | bits.TrailingZeros64(word)
-			next, ok := k.idlers[id].NextActivity(now)
+			next, ok := k.comps[id].NextActivity(now)
 			if ok && next <= now {
 				return now
 			}

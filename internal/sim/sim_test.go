@@ -7,12 +7,19 @@ import (
 	"testing/quick"
 )
 
+// busy is an always-due test component: it calls fn on every tick and
+// reports activity on every cycle, so the kernel never skips past it.
+type busy func(now Cycle)
+
+func (f busy) Tick(now Cycle)                       { f(now) }
+func (f busy) NextActivity(now Cycle) (Cycle, bool) { return now, true }
+
 func TestKernelTickOrder(t *testing.T) {
 	var k Kernel
 	var order []int
 	for i := 0; i < 3; i++ {
 		i := i
-		k.Register(TickFunc(func(Cycle) { order = append(order, i) }))
+		k.Register(busy(func(Cycle) { order = append(order, i) }))
 	}
 	k.Step()
 	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
@@ -28,7 +35,7 @@ func TestKernelRegisterAfterStartPanics(t *testing.T) {
 			t.Fatal("expected panic on Register after start")
 		}
 	}()
-	k.Register(TickFunc(func(Cycle) {}))
+	k.Register(busy(func(Cycle) {}))
 }
 
 func TestKernelEventsFireInOrder(t *testing.T) {
@@ -49,7 +56,7 @@ func TestKernelEventsFireInOrder(t *testing.T) {
 func TestKernelEventBeforeTickers(t *testing.T) {
 	var k Kernel
 	var log []string
-	k.Register(TickFunc(func(Cycle) { log = append(log, "tick") }))
+	k.Register(busy(func(Cycle) { log = append(log, "tick") }))
 	k.At(0, func(Cycle) { log = append(log, "event") })
 	k.Step()
 	if log[0] != "event" || log[1] != "tick" {
@@ -231,9 +238,6 @@ func TestKernelIdleSkipJumpsToNextActivity(t *testing.T) {
 	var k Kernel
 	f := &fakeIdler{wakes: []Cycle{3, 100, 5000}}
 	k.Register(f)
-	if !k.IdleSkipActive() {
-		t.Fatal("idle skip should be active with only Idler tickers")
-	}
 	k.Run(10000)
 	if k.Now() != 10000 {
 		t.Fatalf("final cycle %d, want 10000", k.Now())
@@ -268,19 +272,6 @@ func TestKernelIdleSkipBoundedByEvents(t *testing.T) {
 	}
 }
 
-func TestKernelOpaqueTickerDisablesSkip(t *testing.T) {
-	var k Kernel
-	k.Register(&fakeIdler{})
-	k.Register(TickFunc(func(Cycle) {}))
-	if k.IdleSkipActive() {
-		t.Fatal("TickFunc is opaque; skipping must be disabled")
-	}
-	k.Run(100)
-	if k.SkippedCycles() != 0 {
-		t.Fatalf("skipped %d cycles with an opaque ticker registered", k.SkippedCycles())
-	}
-}
-
 func TestKernelSetIdleSkipOff(t *testing.T) {
 	var k Kernel
 	k.Register(&fakeIdler{wakes: []Cycle{50}})
@@ -288,6 +279,39 @@ func TestKernelSetIdleSkipOff(t *testing.T) {
 	k.Run(100)
 	if k.SkippedCycles() != 0 {
 		t.Fatalf("skipped %d cycles with skipping disabled", k.SkippedCycles())
+	}
+}
+
+// TestExecutedPlusSkippedIsNow pins the cycle accounting of the one run
+// loop: with no watchdog installed, Step counts every executed cycle, so
+// after plain Run segments the executed and skipped counts partition the
+// clock in each of the three kernel modes.
+func TestExecutedPlusSkippedIsNow(t *testing.T) {
+	modes := []struct {
+		name string
+		set  func(*Kernel)
+	}{
+		{"wakeset", func(*Kernel) {}},
+		{"stepped", func(k *Kernel) { k.SetIdleSkip(false) }},
+		{"forcepoll", func(k *Kernel) { k.SetForcePoll(true) }},
+	}
+	for _, m := range modes {
+		t.Run(m.name, func(t *testing.T) {
+			var k Kernel
+			k.Register(&fakeIdler{wakes: []Cycle{3, 100, 1500, 5000}})
+			k.Register(&fakeIdler{wakes: []Cycle{40, 41, 42, 2600}})
+			k.Every(700, func(Cycle) {})
+			m.set(&k)
+			for _, h := range []Cycle{10, 1000, 1001, 4000, 6000} {
+				k.Run(h)
+				if ex, sk := k.ExecutedCycles(), k.SkippedCycles(); ex+sk != uint64(k.Now()) {
+					t.Fatalf("after Run(%d): %d executed + %d skipped != clock %d", h, ex, sk, k.Now())
+				}
+			}
+			if k.ExecutedCycles() == 0 {
+				t.Fatal("no executed cycles counted")
+			}
+		})
 	}
 }
 

@@ -196,9 +196,10 @@ type Cell = exp.Cell
 // exact one-line rerun command.
 type RunError = exp.RunError
 
-// Watchdog bounds a kernel run with cycle, wall-clock and progress
-// budgets; install with System.SetWatchdog and drive the run through
-// System.RunChecked / RunFramesChecked.
+// Watchdog bounds a kernel run with an executed-cycle budget, a
+// wall-clock deadline and a parked-deadlock probe; install it with
+// System.SetWatchdog. System.RunChecked / RunFramesChecked return a trip
+// as a *DeadlockError; plain System.Run panics with it.
 type Watchdog = sim.Watchdog
 
 // DeadlockError reports a watchdog trip, with a per-idler wake-state
